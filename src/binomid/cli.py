@@ -2,8 +2,9 @@
 
 Subcommands: catalog, verify, fuzz, specialize, prove, check-arith.
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed,
-2 usage error. Reports go to stdout, diagnostics to stderr. The env var
-BINOMID_CATALOG overrides the built-in catalog file.
+2 usage or input error (a bad flag value, an unreadable catalog file).
+Reports go to stdout, diagnostics to stderr. The env var BINOMID_CATALOG
+overrides the built-in catalog file.
 """
 from __future__ import annotations
 
@@ -51,11 +52,25 @@ def _grid_for(params, specs, default=(0, 5)) -> GridSpec:
     return GridSpec.of({p: explicit.get(p, fill) for p in params})
 
 
+def _check_counts(args) -> None:
+    """Counts and bounds given on the command line must make sense."""
+    for flag in ("window", "trials", "bound"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{flag} must be nonnegative, got {value}")
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+
+
 def _load_catalog() -> Catalog:
     path = os.environ.get("BINOMID_CATALOG")
     if path:
         print(f"using catalog {path}", file=sys.stderr)
-        return load_catalog_file(path)
+        try:
+            return load_catalog_file(path)
+        except (OSError, UnicodeError) as exc:
+            raise UsageError(f"cannot read catalog {path}: {exc}") from exc
     return load_builtin()
 
 
@@ -281,6 +296,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         cat = _load_catalog()
         return _COMMANDS[args.command](args, cat)
     except (UsageError, CatalogError) as exc:

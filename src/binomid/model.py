@@ -398,10 +398,6 @@ def substitute(ident: Identity, sub: Substitution, new_name: str) -> Identity:
     return canonicalize(substitute_raw(ident, sub, new_name))
 
 
-def identity_substitution(ident: Identity) -> Substitution:
-    return Substitution.of({p: LinExpr.var(p) for p in ident.params}, ident.params)
-
-
 # ---------------------------------------------------------------------------
 # Rewrite rules
 #

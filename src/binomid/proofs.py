@@ -42,6 +42,7 @@ from .resexpr import (
 from .series import (
     DegenerateWindowError,
     DivergentSumError,
+    EngineError,
     LaurentSeries,
     NonUnitError,
     WindowError,
@@ -55,7 +56,7 @@ ENGINE_ERRORS = (
     NonUnitError,
     DivergentSumError,
     SupportBoundError,
-    ValueError,
+    EngineError,
 )
 
 
@@ -141,11 +142,6 @@ def load_script(data: dict, resolve: Callable[[str], Identity]) -> ProofScript:
         steps=tuple(steps),
         budget_hint=parse_linexpr(data["budget"]),
     )
-
-
-def load_script_file(path, resolve: Callable[[str], Identity]) -> ProofScript:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_script(json.load(fh), resolve)
 
 
 # ---------------------------------------------------------------------------

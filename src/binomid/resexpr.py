@@ -21,52 +21,77 @@ k > b; the evaluator checks that assertion on a probe range past the bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Union
 
 from .arith import binomial
 from .dsl import ParseError, Token, tokenize
 from .model import BinomFactor, LinExpr, SumExpr, Term
-from .series import INF, LaurentSeries, geometric_collapse, res
+from .series import INF, EngineError, LaurentSeries, geometric_collapse, res
 
 
 class SupportBoundError(Exception):
     """An isum term past the declared support bound is not zero."""
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass whose hash is computed once per node.
+
+    Evaluation caches are keyed by nodes, and the generated hash would walk
+    the whole subtree on every lookup. The cached value stays out of pickles,
+    since string hashes differ between processes.
+    """
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((cls.__name__,) + tuple(getattr(self, n) for n in names))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {n: getattr(self, n) for n in names}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_node
 class RInt:
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class RVar:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class RBinom:
     upper: LinExpr
     lower: LinExpr
 
 
-@dataclass(frozen=True)
+@_node
 class RPow:
     base: "RNode"
     exponent: LinExpr
 
 
-@dataclass(frozen=True)
+@_node
 class RProd:
     factors: tuple["RNode", ...]
 
 
-@dataclass(frozen=True)
+@_node
 class RAdd:
     terms: tuple[tuple[int, "RNode"], ...]  # (sign, node)
 
 
-@dataclass(frozen=True)
+@_node
 class RSum:
     var: str
     lower: LinExpr
@@ -74,20 +99,20 @@ class RSum:
     body: "RNode"
 
 
-@dataclass(frozen=True)
+@_node
 class RISum:
     var: str
     bound: LinExpr
     body: "RNode"
 
 
-@dataclass(frozen=True)
+@_node
 class RRes:
     var: str
     body: "RNode"
 
 
-@dataclass(frozen=True)
+@_node
 class RGeo:
     body: "RNode"
 
@@ -286,7 +311,7 @@ def _evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
         return LaurentSeries.constant(ctx.vars, node.value)
     if isinstance(node, RVar):
         if node.name not in ctx.vars:
-            raise ValueError(f"'{node.name}' is not a series variable")
+            raise EngineError(f"'{node.name}' is not a series variable")
         return LaurentSeries.monomial(ctx.vars, {node.name: 1})
     if isinstance(node, RBinom):
         value = binomial(node.upper.evaluate(ctx.env), node.lower.evaluate(ctx.env))

@@ -12,9 +12,21 @@ Truncation is per-variable, not total-degree: the expressions this engine
 exists for mix negative powers of distinct variables with bounded positive
 ranges elsewhere. Coefficients are exact (int or Fraction); Fractions only
 appear when a unit with leading coefficient other than +-1 is inverted.
+
+Powers of one- and two-term bases are computed in closed form. An exact base
+c*mu*(1 + u*m), with mu the monomial at its support minimum and m >= 0 in
+every variable (m = 0 for a single term), has the coefficient
+c^e * C(e,i) * u^i at mu^e * m^i, for either sign of e. Only the exponents
+inside the result's accuracy box are emitted, and that box is derived from
+the window exactly as repeated multiply-and-clip would narrow it (see
+`_binomial_pow`), so both paths give the same series. Bases with three or
+more terms, or not fully known, go through multiply-and-clip: repeated
+products for e > 0 and the truncated binomial series of the unit part for
+e < 0.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -25,6 +37,10 @@ INF = float("inf")
 Number = Union[int, Fraction]
 Expo = tuple[int, ...]
 Bound = Union[int, float]
+
+
+class EngineError(ValueError):
+    """The engine was asked something it cannot answer for these operands."""
 
 
 class WindowError(Exception):
@@ -43,6 +59,21 @@ class DegenerateWindowError(Exception):
     """Two series were compared on an empty shared accuracy region."""
 
 
+def _exact(x: Number) -> Number:
+    """An integral Fraction as an int, so products stay on the int path."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def _first_above(step: Bound, bound: Bound, last: int) -> Optional[int]:
+    """Smallest k in [2, last] with k * step > bound, or None."""
+    if 2 * step > bound:
+        return 2
+    if step <= 0 or bound == INF:
+        return None
+    k = int(bound) // step + 1
+    return k if k <= last else None
+
+
 def _box(vars, window: Mapping[str, tuple[int, int]]) -> tuple[tuple[Bound, ...], tuple[Bound, ...]]:
     lo = tuple(window[v][0] if v in window else -INF for v in vars)
     hi = tuple(window[v][1] if v in window else INF for v in vars)
@@ -52,14 +83,16 @@ def _box(vars, window: Mapping[str, tuple[int, int]]) -> tuple[tuple[Bound, ...]
 class LaurentSeries:
     __slots__ = ("vars", "coeffs", "sup_lo", "sup_hi", "acc_lo", "acc_hi")
 
-    def __init__(self, vars, coeffs, sup_lo, sup_hi, acc_lo, acc_hi):
+    def __init__(self, vars, coeffs, sup_lo, sup_hi, acc_lo, acc_hi, boxed=False):
+        """`boxed` promises that every coefficient already lies inside the
+        accuracy box, so normalization skips filtering the table again."""
         self.vars = tuple(vars)
         self.coeffs = coeffs
         self.sup_lo = tuple(sup_lo)
         self.sup_hi = tuple(sup_hi)
         self.acc_lo = tuple(acc_lo)
         self.acc_hi = tuple(acc_hi)
-        self._normalize()
+        self._normalize(boxed)
 
     # -- construction ------------------------------------------------------
 
@@ -79,41 +112,39 @@ class LaurentSeries:
             return LaurentSeries.zero(vars)
         unknown = set(exps) - set(vars)
         if unknown:
-            raise ValueError(f"monomial uses undeclared variable(s) {sorted(unknown)}")
+            raise EngineError(f"monomial uses undeclared variable(s) {sorted(unknown)}")
         e = tuple(exps.get(v, 0) for v in vars)
         n = len(vars)
         return LaurentSeries(vars, {e: coeff}, e, e, (-INF,) * n, (INF,) * n)
 
     # -- invariants ----------------------------------------------------------
 
-    def _normalize(self) -> None:
-        dead = [e for e, c in self.coeffs.items() if c == 0]
-        for e in dead:
-            del self.coeffs[e]
+    def _normalize(self, boxed: bool = False) -> None:
+        coeffs = self.coeffs
+        if 0 in coeffs.values():
+            for e in [e for e, c in coeffs.items() if c == 0]:
+                del coeffs[e]
+        n = len(self.vars)
         if self.is_zero:
-            n = len(self.vars)
             self.sup_lo, self.sup_hi = (INF,) * n, (-INF,) * n
             self.acc_lo, self.acc_hi = (-INF,) * n, (INF,) * n
             return
-        exact = all(al <= sl and sh <= ah
-                    for al, sl, sh, ah in zip(self.acc_lo, self.sup_lo, self.sup_hi, self.acc_hi))
-        if exact:
+        if self.is_exact:
             # fully known: tighten support to the actual table, widen accuracy
-            if self.coeffs:
-                keys = list(self.coeffs)
-                self.sup_lo = tuple(min(e[i] for e in keys) for i in range(len(self.vars)))
-                self.sup_hi = tuple(max(e[i] for e in keys) for i in range(len(self.vars)))
-                n = len(self.vars)
+            if coeffs:
+                columns = list(zip(*coeffs))
+                self.sup_lo = tuple(map(min, columns))
+                self.sup_hi = tuple(map(max, columns))
                 self.acc_lo, self.acc_hi = (-INF,) * n, (INF,) * n
             else:
-                z = LaurentSeries.zero(self.vars)
-                self.coeffs, self.sup_lo, self.sup_hi = z.coeffs, z.sup_lo, z.sup_hi
-                self.acc_lo, self.acc_hi = z.acc_lo, z.acc_hi
-        else:
-            outside = [e for e in self.coeffs
-                       if not all(lo <= x <= hi for x, lo, hi in zip(e, self.acc_lo, self.acc_hi))]
+                self.sup_lo, self.sup_hi = (INF,) * n, (-INF,) * n
+                self.acc_lo, self.acc_hi = (-INF,) * n, (INF,) * n
+        elif not boxed:
+            lo, hi = self.acc_lo, self.acc_hi
+            outside = [e for e in coeffs
+                       if not (all(map(operator.le, lo, e)) and all(map(operator.le, e, hi)))]
             for e in outside:
-                del self.coeffs[e]
+                del coeffs[e]
 
     @property
     def is_zero(self) -> bool:
@@ -121,14 +152,14 @@ class LaurentSeries:
 
     @property
     def is_exact(self) -> bool:
-        return all(al <= sl and sh <= ah
-                   for al, sl, sh, ah in zip(self.acc_lo, self.sup_lo, self.sup_hi, self.acc_hi))
+        return (all(map(operator.le, self.acc_lo, self.sup_lo))
+                and all(map(operator.le, self.sup_hi, self.acc_hi)))
 
     def _var_index(self, var: str) -> int:
         try:
             return self.vars.index(var)
         except ValueError:
-            raise ValueError(f"series has no variable '{var}'") from None
+            raise EngineError(f"series has no variable '{var}'") from None
 
     def _known(self, e: Expo) -> bool:
         if all(lo <= x <= hi for x, lo, hi in zip(e, self.acc_lo, self.acc_hi)):
@@ -149,7 +180,7 @@ class LaurentSeries:
         """The value of a series with no variable dependence."""
         for e, c in self.coeffs.items():
             if any(x != 0 for x in e):
-                raise ValueError("series is not constant")
+                raise EngineError("series is not constant")
         return self.coeff({})
 
     def items(self):
@@ -167,7 +198,7 @@ class LaurentSeries:
 
     def _check_compatible(self, other: "LaurentSeries") -> None:
         if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+            raise EngineError(f"variable mismatch: {self.vars} vs {other.vars}")
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check_compatible(other)
@@ -194,7 +225,8 @@ class LaurentSeries:
         if value == 0:
             return LaurentSeries.zero(self.vars)
         coeffs = {e: c * value for e, c in self.coeffs.items()}
-        return LaurentSeries(self.vars, coeffs, self.sup_lo, self.sup_hi, self.acc_lo, self.acc_hi)
+        return LaurentSeries(self.vars, coeffs, self.sup_lo, self.sup_hi, self.acc_lo, self.acc_hi,
+                             boxed=True)
 
     def shifted(self, delta: Mapping[str, int]) -> "LaurentSeries":
         """Multiply by the monomial with the given exponents."""
@@ -204,7 +236,7 @@ class LaurentSeries:
         coeffs = {tuple(x + y for x, y in zip(e, d)): c for e, c in self.coeffs.items()}
         move = lambda bounds: tuple(b + x for b, x in zip(bounds, d))
         return LaurentSeries(self.vars, coeffs, move(self.sup_lo), move(self.sup_hi),
-                             move(self.acc_lo), move(self.acc_hi))
+                             move(self.acc_lo), move(self.acc_hi), boxed=True)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check_compatible(other)
@@ -226,23 +258,28 @@ class LaurentSeries:
             acc_lo.append(max(lowers) if lowers else -INF)
         coeffs: dict[Expo, Number] = {}
         lo, hi = tuple(acc_lo), tuple(acc_hi)
+        bounded = any(a != -INF for a in lo) or any(b != INF for b in hi)
+        add, le, get = operator.add, operator.le, coeffs.get
+        right = list(other.coeffs.items())
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if all(a <= x <= b for x, a, b in zip(e, lo, hi)):
-                    coeffs[e] = coeffs.get(e, 0) + c1 * c2
-        sup_lo = tuple(a + b for a, b in zip(self.sup_lo, other.sup_lo))
-        sup_hi = tuple(a + b for a, b in zip(self.sup_hi, other.sup_hi))
-        return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                if bounded and not (all(map(le, lo, e)) and all(map(le, e, hi))):
+                    continue
+                coeffs[e] = get(e, 0) + c1 * c2
+        sup_lo = tuple(map(add, self.sup_lo, other.sup_lo))
+        sup_hi = tuple(map(add, self.sup_hi, other.sup_hi))
+        return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi, boxed=True)
 
     def clipped(self, window: Mapping[str, tuple[int, int]]) -> "LaurentSeries":
         """Restrict accuracy to the window (coefficients outside are dropped)."""
         lo, hi = _box(self.vars, window)
         acc_lo = tuple(max(a, b) for a, b in zip(self.acc_lo, lo))
         acc_hi = tuple(min(a, b) for a, b in zip(self.acc_hi, hi))
+        le = operator.le
         coeffs = {e: c for e, c in self.coeffs.items()
-                  if all(a <= x <= b for x, a, b in zip(e, acc_lo, acc_hi))}
-        return LaurentSeries(self.vars, coeffs, self.sup_lo, self.sup_hi, acc_lo, acc_hi)
+                  if all(map(le, acc_lo, e)) and all(map(le, e, acc_hi))}
+        return LaurentSeries(self.vars, coeffs, self.sup_lo, self.sup_hi, acc_lo, acc_hi, boxed=True)
 
     # -- powers ---------------------------------------------------------------
 
@@ -255,6 +292,13 @@ class LaurentSeries:
         """
         if e == 0:
             return LaurentSeries.constant(self.vars, 1)
+        if e == 1:
+            return self
+        if e < 0 and window is None:
+            raise WindowError("negative power needs a truncation window")
+        base = self._binomial_base()
+        if base is not None:
+            return self._binomial_pow(e, window or {}, *base)
         if e > 0:
             out = self
             for _ in range(e - 1):
@@ -262,9 +306,88 @@ class LaurentSeries:
                 if window is not None:
                     out = out.clipped(window)
             return out
-        if window is None:
-            raise WindowError("negative power needs a truncation window")
         return self._unit_pow(e, window)
+
+    def _binomial_base(self):
+        """(c, mu, u, m) when the series is exactly c*mu*(1 + u*m) with m >= 0
+        in every variable; u and m are None for a single term. Else None."""
+        if not 1 <= len(self.coeffs) <= 2 or not self.is_exact:
+            return None
+        mu = self.sup_lo
+        c = self.coeffs.get(mu)
+        if c is None:
+            return None  # two terms, neither below the other in every variable
+        if len(self.coeffs) == 1:
+            return c, mu, None, None
+        top = self.sup_hi  # the other term: mu is the minimum in every variable
+        return c, mu, _exact(Fraction(self.coeffs[top]) / c), tuple(map(operator.sub, top, mu))
+
+    def _binomial_pow(self, e: int, window, c, mu, u, m) -> "LaurentSeries":
+        """Closed form of (c*mu*(1 + u*m))^e, boxes as multiply-and-clip gives.
+
+        e >= 2 (repeated products, clipped after each): per variable, with
+        a..b the base's support, a side stays fully known while the k-th
+        partial power's support k*a..k*b is inside the window. At the first
+        k in [2, e] where it is not, that side of the accuracy box becomes
+        the window edge, and from then on moves inward by min(a, 0) (upper)
+        or max(b, 0) (lower) per further factor. Sides that never leave sit
+        at the window edge, unless no side leaves: then the power is exact.
+
+        e < 0 (truncated binomial series of (1 + u*m)^e, then shifted): the
+        upper edge is the window's; the series in m is cut after `depth`
+        terms, and a variable whose first term m already lies below the
+        shifted window keeps an accuracy floor raised by (depth - 1) * m.
+        """
+        vars, n = self.vars, len(self.vars)
+        win_lo, win_hi = _box(vars, window)
+        lead = tuple(e * x for x in mu)
+        scale = c ** e if e > 0 else _exact(Fraction(c) ** e)
+        if m is None:
+            if e < 0:
+                mono = LaurentSeries(vars, {lead: scale}, lead, lead, (-INF,) * n, (INF,) * n)
+                return mono.clipped(window)
+            u, m = 0, (0,) * n
+        if e > 0:
+            acc_lo, acc_hi, exact = [], [], True
+            for a, d, wl, wh in zip(mu, m, win_lo, win_hi):
+                b = a + d
+                j_hi = _first_above(b, wh, e)
+                j_lo = _first_above(-a, -wl, e)
+                exact = exact and j_hi is None and j_lo is None
+                acc_hi.append(wh if j_hi is None else wh + (e - j_hi) * min(a, 0))
+                acc_lo.append(wl if j_lo is None else wl + (e - j_lo) * max(b, 0))
+            if exact:
+                acc_lo, acc_hi = (-INF,) * n, (INF,) * n
+            sup_hi = tuple(x + e * d for x, d in zip(lead, m))
+            last = e if u else 0  # a single term has no binomial tail
+        else:
+            carriers = [i for i in range(n) if m[i] > 0]
+            caps = []
+            for i in carriers:
+                if win_hi[i] == INF:
+                    raise WindowError(f"negative power needs a finite window for '{vars[i]}'")
+                caps.append(max(int(win_hi[i] - lead[i]), 0))
+            depth = caps[0] // m[carriers[0]] + 1 if len(carriers) == 1 else sum(caps) + 1
+            acc_hi = win_hi
+            acc_lo = tuple(wl + (depth - 1) * d if x + d < wl else wl
+                           for x, d, wl in zip(lead, m, win_lo))
+            sup_hi = tuple(x if d == 0 else INF for x, d in zip(lead, m))
+            last = None
+        # the terms i of the binomial series whose exponent lead + i*m lies
+        # in the accuracy box; a term with m = 0 in a variable is in or out
+        first = 0
+        for x, d, lo, hi in zip(lead, m, acc_lo, acc_hi):
+            if d == 0:
+                if not lo <= x <= hi:
+                    last = -1
+            else:
+                if lo != -INF:
+                    first = max(first, -((x - lo) // d))
+                if hi != INF:
+                    last = (hi - x) // d if last is None else min(last, (hi - x) // d)
+        coeffs = {tuple(x + i * d for x, d in zip(lead, m)): _exact(scale * binomial(e, i) * u ** i)
+                  for i in range(first, last + 1)}
+        return LaurentSeries(vars, coeffs, lead, sup_hi, acc_lo, acc_hi, boxed=True)
 
     def _unit_factor(self):
         if self.is_zero:
@@ -304,8 +427,7 @@ class LaurentSeries:
             depth = caps[0] // step + 1
         else:
             depth = sum(caps) + 1
-        shifted_window = {v: (int(win_lo[i] - e * mu[i]) if win_lo[i] != -INF else -(10**9),
-                              int(win_hi[i] - e * mu[i]))
+        shifted_window = {v: (win_lo[i] - e * mu[i], win_hi[i] - e * mu[i])
                           for i, v in enumerate(self.vars)}
         total = LaurentSeries.constant(self.vars, 1)
         power = LaurentSeries.constant(self.vars, 1)
@@ -347,7 +469,7 @@ def res(s: LaurentSeries, var: str) -> LaurentSeries:
             coeffs[e[:i] + (0,) + e[i + 1 :]] = c
     fix = lambda t, v: t[:i] + (v,) + t[i + 1 :]
     return LaurentSeries(s.vars, coeffs, fix(s.sup_lo, 0), fix(s.sup_hi, 0),
-                         fix(s.acc_lo, -INF), fix(s.acc_hi, INF))
+                         fix(s.acc_lo, -INF), fix(s.acc_hi, INF), boxed=True)
 
 
 def coeff(s: LaurentSeries, monomial: Mapping[str, int]) -> Fraction:
@@ -418,7 +540,7 @@ def residue_eval_simple_pole(
     i = g._var_index(var)
     j = s._var_index(var)
     if not (s.is_zero or (s.sup_lo[j] >= 0 and s.sup_hi[j] <= 0)):
-        raise ValueError(f"pole location must not involve '{var}'")
+        raise EngineError(f"pole location must not involve '{var}'")
     _escape_count(s, window)  # valuation check: powers must leave the window
     if not (g.sup_lo[i] >= g.acc_lo[i] and g.sup_hi[i] <= g.acc_hi[i]):
         raise WindowError(f"pole evaluation needs '{var}'-slices fully inside the window")

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from binomid.cli import main
 
 
@@ -157,3 +159,27 @@ def test_json_report_schema_on_verify(capsys):
         assert isinstance(param, str) and len(pair) == 2
     for f in data["failures"]:
         assert set(f) == {"env", "lhs", "rhs"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("prove", "--script", "proof-eq1", "--window", "-50"), "--window"),
+    (("fuzz", "--identity", "chugen", "--trials", "-5"), "--trials"),
+    (("check-arith", "--bound", "-3"), "--bound"),
+    (("verify", "--identity", "chugen", "--jobs", "0"), "--jobs"),
+])
+def test_bad_numeric_flag_is_usage_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert flag in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("content", [None, b"identity \xff\xfe"])
+def test_unreadable_catalog_file_is_input_error(capsys, tmp_path, monkeypatch, content):
+    path = tmp_path / "mine.bid"
+    if content is not None:
+        path.write_bytes(content)
+    monkeypatch.setenv("BINOMID_CATALOG", str(path))
+    code, _, err = run_cli(capsys, "catalog")
+    assert code == 2
+    assert "cannot read catalog" in err

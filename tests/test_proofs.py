@@ -220,3 +220,31 @@ def test_loader_rejects_duplicate_adjacent_expression_mismatch(catalog):
     script = catalog.script("proof-eq1")
     for i in range(1, len(script.steps)):
         assert script.steps[i].before is script.steps[i - 1].after or script.steps[i].before_text == script.steps[i - 1].after_text
+
+
+def _with_after(script, idx, text):
+    steps = list(script.steps)
+    steps[idx] = dataclasses.replace(steps[idx], after_text=text, after=parse_resexpr(text))
+    return dataclasses.replace(script, steps=tuple(steps))
+
+
+def test_engine_error_is_a_failed_step(catalog):
+    # a state naming a variable that is not a series variable fails its step
+    script = _with_after(catalog.script("proof-eq1"), 1, "w")
+    env = {p: 2 for p in script.params}
+    report = run_proof_script(script, [env], window=2)
+    assert report.failures[0].step == 1
+    assert report.failures[0].message.startswith("EngineError")
+
+
+def test_internal_value_error_is_not_a_failed_step(catalog, monkeypatch):
+    # a bug outside the engine's own checks must not pass for a false proof
+    from binomid import proofs
+
+    def broken(node, ctx):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(proofs, "evaluate", broken)
+    script = catalog.script("proof-eq1")
+    with pytest.raises(ValueError, match="internal bug"):
+        check_step(script, 1, {p: 2 for p in script.params}, window=2)

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binomid.arith import binomial
 from binomid.resexpr import series_expand
@@ -254,6 +256,34 @@ def test_window_soundness_doubling():
             assert large.coeff(dict(zip(XYZ, e))) == c, (text, e)
         diff = first_difference(small, large)
         assert diff is None, (text, diff)
+
+
+POWER_BASES = ["x", "y", "z", "1+x", "1+y", "1+z", "2+x", "1-y", "1+x*y", "x*y*(1+z)",
+               "1+(1+y)*z", "1+x+y"]
+
+
+@st.composite
+def products_of_powers(draw):
+    """A product of one to four powers over the resexpr grammar."""
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = draw(st.sampled_from(POWER_BASES))
+        factors.append(f"({base})^({draw(st.integers(-3, 3))})")
+    if draw(st.booleans()):
+        factors.insert(0, str(draw(st.sampled_from([2, -1, 3]))))
+    return "*".join(factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(products_of_powers(), st.integers(2, 4))
+def test_window_soundness_property(text, w):
+    small = series_expand(text, {v: (-w, w) for v in XYZ})
+    large = series_expand(text, {v: (-2 * w, 2 * w) for v in XYZ})
+    # every coefficient the small window knows is what the large window says
+    for e in itertools.product(range(-w, w + 1), repeat=len(XYZ)):
+        if small._known(e):
+            mono = dict(zip(XYZ, e))
+            assert large.coeff(mono) == small.coeff(mono), (text, e)
 
 
 def test_truncated_series_declares_unknown_tail():
