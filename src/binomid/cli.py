@@ -2,7 +2,8 @@
 
 Subcommands: catalog, verify, fuzz, specialize, prove, check-arith.
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed,
-2 usage or input error (a bad flag value, an unreadable catalog file).
+2 usage or input error (a bad flag value, an unreadable catalog file),
+3 internal error (a bug in binomid, reported with its traceback).
 Reports go to stdout, diagnostics to stderr. The env var BINOMID_CATALOG
 overrides the built-in catalog file.
 """
@@ -13,6 +14,7 @@ import json
 import os
 import re
 import sys
+import traceback
 
 from .arith import run_invariant_suite
 from .catalog import Catalog, CatalogError, check_specialization, load_builtin, load_catalog_file
@@ -304,6 +306,11 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 1
+    except Exception as exc:
+        # a bug must not pass for a failed (or a passed) mathematical check
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

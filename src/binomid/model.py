@@ -3,8 +3,9 @@
 The value domain is affine integer expressions (`LinExpr`) sitting inside
 binomial factors, products of factors with an optional (-1)^e sign, finite
 sums over one bound variable, and named identities with nonnegativity
-constraints. Everything is an immutable dataclass; all operations return
-new values and are safe under concurrency.
+constraints. Every AST node is an immutable dataclass; all operations return
+new values and are safe under concurrency. `CompiledIdentity`, the one
+evaluator, holds a binomial memo and belongs to the caller that built it.
 """
 from __future__ import annotations
 
@@ -230,34 +231,129 @@ class EvalResult:
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# An identity is compiled into closures over a flat list of values, one slot
+# per parameter; the bound variable (if any) occupies the last slot.
+# Binomials are memoized per compiled identity: across a grid the same
+# (n, k) pairs recur constantly.
 
 
-def eval_linexpr(e: LinExpr, env: Mapping[str, int]) -> int:
-    return e.evaluate(env)
+def _compile_lin(e: LinExpr, slot: Mapping[str, int]):
+    for v, _ in e.coeffs:
+        if v not in slot:
+            raise EvalError(f"unbound variable '{v}' in expression {e}")
+    const = e.const
+    items = tuple((slot[v], c) for v, c in e.coeffs)
+    if not items:
+        return lambda vals: const
+
+    def ev(vals, _items=items, _const=const):
+        total = _const
+        for i, c in _items:
+            total += c * vals[i]
+        return total
+
+    return ev
 
 
-def eval_term(t: Term, env: Mapping[str, int]) -> int:
-    # no early exit on zero: every factor is evaluated so that unbound
-    # variables surface regardless of the values around them
-    value = 1
-    for f in t.factors:
-        value *= binomial(f.upper.evaluate(env), f.lower.evaluate(env))
-    if t.sign_exponent is not None and t.sign_exponent.evaluate(env) % 2 == 1:
-        value = -value
-    return value
+class CompiledIdentity:
+    """An identity compiled for evaluation at many environments.
+
+    Values are passed as a list holding the parameters in declared order
+    plus one trailing slot, which the summation and the pointwise
+    constraints overwrite with the bound variable. Raises EvalError at
+    compile time when the identity mentions a variable that is neither a
+    parameter nor the bound variable.
+    """
+
+    def __init__(self, ident: Identity):
+        params = ident.params
+        slot = {p: i for i, p in enumerate(params)}
+        bv = ident.bound_var()
+        if bv is not None:
+            slot[bv] = len(params)
+        self.bound_slot = len(params)
+        self.cache: dict[tuple[int, int], int] = {}
+
+        def compile_term(t: Term):
+            sign = _compile_lin(t.sign_exponent, slot) if t.sign_exponent is not None else None
+            factors = tuple((_compile_lin(f.upper, slot), _compile_lin(f.lower, slot)) for f in t.factors)
+            return sign, factors
+
+        self.rhs = compile_term(ident.rhs)
+        if isinstance(ident.lhs, SumExpr):
+            self.sum_lower = _compile_lin(ident.lhs.lower, slot)
+            self.sum_upper = _compile_lin(ident.lhs.upper, slot)
+            self.body = compile_term(ident.lhs.body)
+            self.lhs_term = None
+        else:
+            self.lhs_term = compile_term(ident.lhs)
+        bound_vars = {bv} if bv is not None else set()
+        self.free_constraints = []
+        self.bound_constraints = []
+        for c in ident.constraints:
+            target = self.bound_constraints if bound_vars & set(c.variables()) else self.free_constraints
+            target.append(_compile_lin(c, slot))
+
+    def _binom(self, n: int, k: int) -> int:
+        key = (n, k)
+        v = self.cache.get(key)
+        if v is None:
+            v = binomial(n, k)
+            self.cache[key] = v
+        return v
+
+    def _term(self, compiled, vals) -> int:
+        sign, factors = compiled
+        value = 1
+        for up, lo in factors:
+            value *= self._binom(up(vals), lo(vals))
+            if value == 0:
+                return 0
+        if sign is not None and sign(vals) % 2 == 1:
+            value = -value
+        return value
+
+    def admissible(self, vals) -> bool:
+        """True iff every constraint is >= 0; constraints on the bound
+        variable must hold at every index of the summation range."""
+        for c in self.free_constraints:
+            if c(vals) < 0:
+                return False
+        if self.bound_constraints and self.lhs_term is None:
+            lo, hi = self.sum_lower(vals), self.sum_upper(vals)
+            for k in range(lo, hi + 1):
+                vals[self.bound_slot] = k
+                for c in self.bound_constraints:
+                    if c(vals) < 0:
+                        return False
+        return True
+
+    def evaluate(self, vals) -> tuple[int, int]:
+        if self.lhs_term is not None:
+            lhs = self._term(self.lhs_term, vals)
+        else:
+            lhs = 0
+            for k in range(self.sum_lower(vals), self.sum_upper(vals) + 1):
+                vals[self.bound_slot] = k
+                lhs += self._term(self.body, vals)
+        return lhs, self._term(self.rhs, vals)
+
+
+def _compiled_at(ident: Identity, env: Mapping[str, int]) -> tuple[CompiledIdentity, list[int]]:
+    """The identity compiled with every name of env in scope, and env's values."""
+    names = tuple(env)
+    compiled = CompiledIdentity(Identity(ident.name, names, ident.lhs, ident.rhs, ident.constraints))
+    return compiled, [env[n] for n in names] + [0]
 
 
 def eval_side(side: Side, env: Mapping[str, int]) -> int:
-    if isinstance(side, Term):
-        return eval_term(side, env)
-    lo = side.lower.evaluate(env)
-    hi = side.upper.evaluate(env)
-    total = 0
-    inner = dict(env)
-    for k in range(lo, hi + 1):
-        inner[side.bound_var] = k
-        total += eval_term(side.body, inner)
-    return total
+    compiled, vals = _compiled_at(Identity("side", (), side, Term()), env)
+    return compiled.evaluate(vals)[0]
+
+
+def eval_term(t: Term, env: Mapping[str, int]) -> int:
+    return eval_side(t, env)
 
 
 def constraints_satisfied(ident: Identity, env: Mapping[str, int]) -> bool:
@@ -266,23 +362,8 @@ def constraints_satisfied(ident: Identity, env: Mapping[str, int]) -> bool:
     Constraints mentioning the bound variable are required to hold for every
     index in the summation range (vacuously for empty sums).
     """
-    bv = ident.bound_var()
-    pointwise = []
-    for c in ident.constraints:
-        if bv is not None and bv in dict(c.coeffs):
-            pointwise.append(c)
-        elif c.evaluate(env) < 0:
-            return False
-    if pointwise and isinstance(ident.lhs, SumExpr):
-        lo = ident.lhs.lower.evaluate(env)
-        hi = ident.lhs.upper.evaluate(env)
-        inner = dict(env)
-        for k in range(lo, hi + 1):
-            inner[bv] = k
-            for c in pointwise:
-                if c.evaluate(inner) < 0:
-                    return False
-    return True
+    compiled, vals = _compiled_at(ident, env)
+    return compiled.admissible(vals)
 
 
 def eval_identity(ident: Identity, env: Mapping[str, int]) -> EvalResult:
@@ -290,9 +371,10 @@ def eval_identity(ident: Identity, env: Mapping[str, int]) -> EvalResult:
     for p in ident.params:
         if p not in env:
             raise EvalError(f"identity '{ident.name}': parameter '{p}' not bound")
-    if not constraints_satisfied(ident, env):
+    compiled, vals = _compiled_at(ident, env)
+    if not compiled.admissible(vals):
         raise ConstraintError(f"identity '{ident.name}': constraints violated at {dict(env)}")
-    return EvalResult(eval_side(ident.lhs, env), eval_term(ident.rhs, env))
+    return EvalResult(*compiled.evaluate(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -48,6 +47,7 @@ from .series import (
     WindowError,
     first_difference,
 )
+from .verify import shard_map
 
 SERIES_VARS = ("x", "y", "z")
 
@@ -309,12 +309,12 @@ class ProofReport:
         return json.dumps(self.to_json_dict(include_elapsed=False), sort_keys=True)
 
 
-def _run_instance(script: ProofScript, env, window: int) -> tuple[int, Optional[StepFailure]]:
+def _run_instance(script: ProofScript, env, window: int, trace) -> tuple[int, Optional[StepFailure]]:
     """Number of steps passed, and the first failure if any."""
     ctx = _context(script, env, window)
     for i in range(len(script.steps)):
         try:
-            result = _check_step_in_context(script, i, ctx)
+            result = _check_step_in_context(script, i, ctx, trace)
         except WindowError as exc:
             raise WindowError(f"{script.name} at {env}: {exc}") from exc
         if not result.ok:
@@ -323,8 +323,8 @@ def _run_instance(script: ProofScript, env, window: int) -> tuple[int, Optional[
 
 
 def _script_worker(args):
-    script, envs, window = args
-    return [_run_instance(script, env, window) for env in envs]
+    script, envs, window, trace = args
+    return [_run_instance(script, env, window, trace) for env in envs]
 
 
 def run_proof_script(
@@ -337,26 +337,20 @@ def run_proof_script(
     """Check every step of a script at every instance.
 
     Instances are independent; checking stops at the first failing step per
-    instance and the report merges results in instance order.
+    instance and the report merges results in instance order. A run with a
+    trace callback stays in-process, since callbacks do not pickle.
     """
     started = time.perf_counter()
     instances = list(instances)
-    if trace is not None:
-        for env in instances:
-            for i in range(len(script.steps)):
-                check_step(script, i, env, window, trace=trace)
-    if jobs <= 1 or len(instances) < 2 * jobs:
-        results = [_run_instance(script, env, window) for env in instances]
-    else:
-        bounds = [len(instances) * i // jobs for i in range(jobs + 1)]
-        tasks = [(script, instances[bounds[i] : bounds[i + 1]], window) for i in range(jobs)]
-        results = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_script_worker, tasks):
-                results.extend(chunk)
+    chunks = shard_map(
+        _script_worker,
+        len(instances),
+        1 if trace is not None else jobs,
+        lambda start, stop: (script, instances[start:stop], window, trace),
+    )
     passes = [0] * len(script.steps)
     failures = []
-    for steps_passed, failure in results:
+    for steps_passed, failure in itertools.chain.from_iterable(chunks):
         for i in range(steps_passed):
             passes[i] += 1
         if failure is not None:

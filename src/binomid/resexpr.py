@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Mapping, Union
 
+from . import dsl
 from .arith import binomial
-from .dsl import ParseError, Token, tokenize
 from .model import BinomFactor, LinExpr, SumExpr, Term
 from .series import INF, EngineError, LaurentSeries, geometric_collapse, res
 
@@ -120,65 +120,8 @@ class RGeo:
 RNode = Union[RInt, RVar, RBinom, RPow, RProd, RAdd, RSum, RISum, RRes, RGeo]
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        what = "end of input" if tok.kind == "EOF" else repr(tok.text)
-        return ParseError(f"{message}, found {what}", tok.span)
-
-    def expect_sym(self, sym: str) -> None:
-        tok = self.peek()
-        if tok.kind != "SYM" or tok.text != sym:
-            raise self.error(f"expected '{sym}'")
-        self.next()
-
-    def expect_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "NAME":
-            raise self.error("expected a name")
-        return self.next().text
-
-    def at_sym(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.text == sym
-
-    def linexpr(self) -> LinExpr:
-        total = LinExpr()
-        sign = 1
-        if self.at_sym("-"):
-            self.next()
-            sign = -1
-        total = total + self._linitem().scaled(sign)
-        while self.at_sym("+") or self.at_sym("-"):
-            sign = 1 if self.next().text == "+" else -1
-            total = total + self._linitem().scaled(sign)
-        return total
-
-    def _linitem(self) -> LinExpr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
-            value = int(tok.text)
-            if self.at_sym("*"):
-                self.next()
-                return LinExpr.var(self.expect_name()).scaled(value)
-            return LinExpr(value)
-        if tok.kind == "NAME":
-            return LinExpr.var(self.next().text)
-        raise self.error("expected integer or variable")
+class _Parser(dsl._Parser):
+    """The expression grammar on the catalog parser's tokens and linexprs."""
 
     def expr(self) -> RNode:
         terms: list[tuple[int, RNode]] = []
@@ -206,7 +149,7 @@ class _Parser:
         if self.at_sym("^"):
             self.next()
             self.expect_sym("(")
-            e = self.linexpr()
+            e = self.parse_linexpr()
             self.expect_sym(")")
             return RPow(base, e)
         return base
@@ -216,28 +159,24 @@ class _Parser:
         if tok.kind == "INT":
             self.next()
             return RInt(int(tok.text))
-        if tok.kind == "SYM" and tok.text == "(":
+        if self.at_sym("("):
             self.next()
             inner = self.expr()
             self.expect_sym(")")
             return inner
         if tok.kind != "NAME":
             raise self.error("expected an expression")
+        if tok.text == "C":
+            f = self.parse_binom(None)
+            return RBinom(f.upper, f.lower)
         name = self.next().text
-        if name == "C":
-            self.expect_sym("(")
-            upper = self.linexpr()
-            self.expect_sym(",")
-            lower = self.linexpr()
-            self.expect_sym(")")
-            return RBinom(upper, lower)
         if name == "sum":
             self.expect_sym("(")
-            var = self.expect_name()
+            var = self.expect_name().text
             self.expect_sym(",")
-            lower = self.linexpr()
+            lower = self.parse_linexpr()
             self.expect_sym(",")
-            upper = self.linexpr()
+            upper = self.parse_linexpr()
             self.expect_sym(")")
             self.expect_sym("[")
             body = self.expr()
@@ -245,9 +184,9 @@ class _Parser:
             return RSum(var, lower, upper, body)
         if name == "isum":
             self.expect_sym("(")
-            var = self.expect_name()
+            var = self.expect_name().text
             self.expect_sym(",")
-            bound = self.linexpr()
+            bound = self.parse_linexpr()
             self.expect_sym(")")
             self.expect_sym("[")
             body = self.expr()
@@ -255,7 +194,7 @@ class _Parser:
             return RISum(var, bound, body)
         if name == "res":
             self.expect_sym("(")
-            var = self.expect_name()
+            var = self.expect_name().text
             self.expect_sym(")")
             self.expect_sym("[")
             body = self.expr()

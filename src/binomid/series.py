@@ -472,10 +472,6 @@ def res(s: LaurentSeries, var: str) -> LaurentSeries:
                          fix(s.acc_lo, -INF), fix(s.acc_hi, INF), boxed=True)
 
 
-def coeff(s: LaurentSeries, monomial: Mapping[str, int]) -> Fraction:
-    return s.coeff(monomial)
-
-
 # ---------------------------------------------------------------------------
 # Geometric collapse and the simple-pole residue rule
 

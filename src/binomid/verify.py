@@ -8,14 +8,14 @@ identity's declared parameter order.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .arith import binomial
-from .model import Identity, LinExpr, SumExpr, Term, eval_side, eval_term
+from .model import CompiledIdentity, Identity, LinExpr, SumExpr, eval_side
 
 
 class GridError(Exception):
@@ -107,103 +107,6 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(include_elapsed=False), sort_keys=True)
 
 
-# ---------------------------------------------------------------------------
-# Compiled evaluation
-#
-# Parameter values live in a flat list; the bound variable (if any) occupies
-# the last slot. Binomials are memoized per evaluation run: across a grid the
-# same (n, k) pairs recur constantly.
-
-
-def _compile_lin(e: LinExpr, slot: Mapping[str, int]):
-    const = e.const
-    items = tuple((slot[v], c) for v, c in e.coeffs)
-    if not items:
-        return lambda vals: const
-
-    def ev(vals, _items=items, _const=const):
-        total = _const
-        for i, c in _items:
-            total += c * vals[i]
-        return total
-
-    return ev
-
-
-class _Compiled:
-    def __init__(self, ident: Identity):
-        self.ident = ident
-        params = ident.params
-        slot = {p: i for i, p in enumerate(params)}
-        bv = ident.bound_var()
-        if bv is not None:
-            slot[bv] = len(params)
-        self.bound_slot = len(params)
-        self.cache: dict[tuple[int, int], int] = {}
-
-        def compile_term(t: Term):
-            sign = _compile_lin(t.sign_exponent, slot) if t.sign_exponent is not None else None
-            factors = tuple((_compile_lin(f.upper, slot), _compile_lin(f.lower, slot)) for f in t.factors)
-            return sign, factors
-
-        self.rhs = compile_term(ident.rhs)
-        if isinstance(ident.lhs, SumExpr):
-            self.sum_lower = _compile_lin(ident.lhs.lower, slot)
-            self.sum_upper = _compile_lin(ident.lhs.upper, slot)
-            self.body = compile_term(ident.lhs.body)
-            self.lhs_term = None
-        else:
-            self.lhs_term = compile_term(ident.lhs)
-        bound_vars = {bv} if bv is not None else set()
-        self.free_constraints = []
-        self.bound_constraints = []
-        for c in ident.constraints:
-            target = self.bound_constraints if bound_vars & set(c.variables()) else self.free_constraints
-            target.append(_compile_lin(c, slot))
-
-    def _binom(self, n: int, k: int) -> int:
-        key = (n, k)
-        v = self.cache.get(key)
-        if v is None:
-            v = binomial(n, k)
-            self.cache[key] = v
-        return v
-
-    def _term(self, compiled, vals) -> int:
-        sign, factors = compiled
-        value = 1
-        for up, lo in factors:
-            value *= self._binom(up(vals), lo(vals))
-            if value == 0:
-                return 0
-        if sign is not None and sign(vals) % 2 == 1:
-            value = -value
-        return value
-
-    def admissible(self, vals) -> bool:
-        for c in self.free_constraints:
-            if c(vals) < 0:
-                return False
-        if self.bound_constraints and self.lhs_term is None:
-            lo, hi = self.sum_lower(vals), self.sum_upper(vals)
-            for k in range(lo, hi + 1):
-                vals[self.bound_slot] = k
-                for c in self.bound_constraints:
-                    if c(vals) < 0:
-                        return False
-        return True
-
-    def evaluate(self, vals) -> tuple[int, int]:
-        if self.lhs_term is not None:
-            lhs = self._term(self.lhs_term, vals)
-        else:
-            lhs = 0
-            for k in range(self.sum_lower(vals), self.sum_upper(vals) + 1):
-                vals[self.bound_slot] = k
-                lhs += self._term(self.body, vals)
-        return lhs, self._term(self.rhs, vals)
-
-
 def _decode(index: int, ranges) -> list[int]:
     vals = []
     for lo, hi in reversed(ranges):
@@ -216,7 +119,7 @@ def _decode(index: int, ranges) -> list[int]:
 
 def _grid_shard(args):
     ident, ranges, start, stop = args
-    compiled = _Compiled(ident)
+    compiled = CompiledIdentity(ident)
     checked = 0
     failures = []
     vals = [0] * (len(ident.params) + 1)
@@ -232,6 +135,21 @@ def _grid_shard(args):
     return checked, failures
 
 
+def shard_map(worker, total: int, jobs: int, task) -> list:
+    """`worker(task(start, stop))` over contiguous shards of range(total).
+
+    Results come back in shard order. At most `os.cpu_count()` worker
+    processes run; with one worker, or fewer than two items per worker,
+    the single shard runs in-process.
+    """
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs <= 1 or total < 2 * jobs:
+        return [worker(task(0, total))]
+    bounds = [total * i // jobs for i in range(jobs + 1)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, [task(bounds[i], bounds[i + 1]) for i in range(jobs)]))
+
+
 def verify_grid(ident: Identity, grid: GridSpec, jobs: int = 1) -> VerificationReport:
     """Evaluate every admissible environment of the Cartesian grid.
 
@@ -243,37 +161,15 @@ def verify_grid(ident: Identity, grid: GridSpec, jobs: int = 1) -> VerificationR
     total = 1
     for lo, hi in ranges:
         total *= hi - lo + 1
-    if jobs <= 1 or total < 2 * jobs:
-        checked, failures = _grid_shard((ident, ranges, 0, total))
-    else:
-        bounds = [total * i // jobs for i in range(jobs + 1)]
-        tasks = [(ident, ranges, bounds[i], bounds[i + 1]) for i in range(jobs)]
-        checked, failures = 0, []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for shard_checked, shard_failures in pool.map(_grid_shard, tasks):
-                checked += shard_checked
-                failures.extend(shard_failures)
+    checked, failures = 0, []
+    for shard_checked, shard_failures in shard_map(
+        _grid_shard, total, jobs, lambda start, stop: (ident, ranges, start, stop)
+    ):
+        checked += shard_checked
+        failures.extend(shard_failures)
     elapsed = int((time.perf_counter() - started) * 1000)
     grid_dict = {p: r for p, r in zip(ident.params, ranges)}
     return VerificationReport(ident.name, grid_dict, checked, failures, elapsed)
-
-
-def find_first_failure(ident: Identity, grid: GridSpec) -> Optional[Failure]:
-    """First failing admissible environment in enumeration order, or None."""
-    ranges = grid.ordered_for(ident)
-    total = 1
-    for lo, hi in ranges:
-        total *= hi - lo + 1
-    compiled = _Compiled(ident)
-    vals = [0] * (len(ident.params) + 1)
-    for index in range(total):
-        vals[: len(ident.params)] = _decode(index, ranges)
-        if not compiled.admissible(vals):
-            continue
-        lhs, rhs = compiled.evaluate(vals)
-        if lhs != rhs:
-            return Failure(dict(zip(ident.params, vals[: len(ident.params)])), lhs, rhs)
-    return None
 
 
 @dataclass(frozen=True)
@@ -296,15 +192,8 @@ def bound_sensitivity(ident: Identity, env: Mapping[str, int], window: int) -> B
     if window < 0:
         raise ValueError("window must be nonnegative")
     s = ident.lhs
-    stated = eval_side(s, env)
-    lo = s.lower.evaluate(env) - window
-    hi = s.upper.evaluate(env) + window
-    inner = dict(env)
-    extended = 0
-    for k in range(lo, hi + 1):
-        inner[s.bound_var] = k
-        extended += eval_term(s.body, inner)
-    return BoundSensitivity(stated, extended)
+    wide = SumExpr(s.bound_var, s.lower - LinExpr(window), s.upper + LinExpr(window), s.body)
+    return BoundSensitivity(eval_side(s, env), eval_side(wide, env))
 
 
 def fuzz(ident: Identity, seed: int, trials: int, lo: int, hi: int) -> VerificationReport:
@@ -318,7 +207,7 @@ def fuzz(ident: Identity, seed: int, trials: int, lo: int, hi: int) -> Verificat
         raise ValueError(f"empty sample range {lo}..{hi}")
     started = time.perf_counter()
     rng = random.Random(seed)
-    compiled = _Compiled(ident)
+    compiled = CompiledIdentity(ident)
     failures: list[Failure] = []
     exploratory: list[Failure] = []
     vals = [0] * (len(ident.params) + 1)

@@ -183,3 +183,27 @@ def test_unreadable_catalog_file_is_input_error(capsys, tmp_path, monkeypatch, c
     code, _, err = run_cli(capsys, "catalog")
     assert code == 2
     assert "cannot read catalog" in err
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("binomid.cli.run_proof_script", broken)
+    code, out, err = run_cli(capsys, "prove", "--script", "proof-eq1", "--range", "*=0..0")
+    assert code == 3
+    assert "internal error: ValueError: internal bug" in err
+    assert "Traceback" in err
+    assert out == ""
+
+
+def test_engine_error_in_a_step_is_a_failed_proof(capsys, monkeypatch):
+    from binomid.series import EngineError
+
+    def failing(node, ctx):
+        raise EngineError("not a series variable")
+
+    monkeypatch.setattr("binomid.proofs.evaluate", failing)
+    code, out, _ = run_cli(capsys, "prove", "--script", "proof-eq1", "--range", "*=0..0")
+    assert code == 1
+    assert "FAILURES" in out and "EngineError" in out

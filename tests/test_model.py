@@ -16,7 +16,6 @@ from binomid.model import (
     canonicalize,
     canonicalize_term,
     eval_identity,
-    eval_linexpr,
     eval_term,
     rewrite_lower_symmetry,
     rewrite_second_symmetry,
@@ -39,14 +38,14 @@ def lin(text):
 
 
 def test_eval_linexpr_examples():
-    assert eval_linexpr(lin("a+b-c-d"), {"a": 3, "b": 2, "c": 1, "d": 1}) == 3
-    assert eval_linexpr(lin("n-k"), {"n": 2, "k": 5}) == -3
-    assert eval_linexpr(lin("0"), {}) == 0
+    assert lin("a+b-c-d").evaluate({"a": 3, "b": 2, "c": 1, "d": 1}) == 3
+    assert lin("n-k").evaluate({"n": 2, "k": 5}) == -3
+    assert lin("0").evaluate({}) == 0
 
 
 def test_eval_linexpr_unbound_names_variable():
     with pytest.raises(EvalError, match="'q'"):
-        eval_linexpr(lin("p+q"), {"p": 1})
+        lin("p+q").evaluate({"p": 1})
 
 
 def test_linexpr_normalization():

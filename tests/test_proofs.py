@@ -206,6 +206,36 @@ def test_trace_callback_invoked(catalog):
     assert any("after" in l for l in labels)
 
 
+def test_traced_run_is_one_in_process_pass(catalog, monkeypatch):
+    from binomid import verify
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a traced run must not start worker processes")
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    script = catalog.script("proof-eq1")
+    envs = small_instances(script, hi=1)
+    assert len(envs) >= 8
+    labels = []
+    traced = run_proof_script(script, envs, window=2, jobs=4,
+                              trace=lambda label, s: labels.append(label))
+    assert traced.ok
+    # every expression step traced once per instance: before, then after
+    n_expr = sum(1 for s in script.steps if s.kind != "Recognize")
+    expected = [f"step {i} {side}" for i in range(n_expr) for side in ("before", "after")]
+    assert labels == expected * len(envs)
+
+
+def test_trace_stops_at_the_first_failing_step(catalog):
+    script = _with_after(catalog.script("proof-eq1"), 1, "w")
+    labels = []
+    report = run_proof_script(script, [{p: 2 for p in script.params}], window=2,
+                              trace=lambda label, s: labels.append(label))
+    assert report.failures[0].step == 1
+    assert labels == ["step 0 before", "step 0 after", "step 1 before"]
+
+
 def test_report_json_shape(catalog):
     script = catalog.script("proof-eq1")
     report = run_proof_script(script, small_instances(script, hi=1), window=2)

@@ -3,15 +3,9 @@ import itertools
 import pytest
 
 from binomid.dsl import parse_identity
-from binomid.model import BinomFactor, Identity, LinExpr, Term
-from binomid.verify import (
-    GridError,
-    GridSpec,
-    bound_sensitivity,
-    find_first_failure,
-    fuzz,
-    verify_grid,
-)
+from binomid.model import BinomFactor, CompiledIdentity, Identity, LinExpr, Term
+from binomid import verify
+from binomid.verify import GridError, GridSpec, bound_sensitivity, fuzz, shard_map, verify_grid
 
 from conftest import comb_oracle
 
@@ -80,12 +74,21 @@ def all_rhs_mutations(ident):
             yield Identity(ident.name, ident.params, ident.lhs, rhs, ident.constraints)
 
 
+def first_failing_env(ident, lo, hi):
+    """First admissible environment of [lo, hi]^params where the sides differ."""
+    compiled = CompiledIdentity(ident)
+    for point in itertools.product(range(lo, hi + 1), repeat=len(ident.params)):
+        vals = list(point) + [0]
+        if compiled.admissible(vals) and len(set(compiled.evaluate(vals))) == 2:
+            return point
+    return None
+
+
 def test_mutation_sensitivity_every_catalog_identity(catalog):
     # bumping any single rhs constant must be caught on the default grid
     for name, ident in catalog.identities.items():
         for bad in all_rhs_mutations(ident):
-            failure = find_first_failure(bad, GridSpec.uniform(ident.params, 0, 5))
-            assert failure is not None, (name, bad.rhs)
+            assert first_failing_env(bad, 0, 5) is not None, (name, bad.rhs)
 
 
 def test_grid_missing_param(catalog):
@@ -110,6 +113,63 @@ def test_shard_determinism(catalog):
     blobs = {r.canonical_json() for r in reports}
     assert len(blobs) == 1
     assert reports[0].instances == 5 ** 5
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = []
+        RecordingPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.tasks = list(tasks)
+        return map(fn, self.tasks)
+
+
+@pytest.mark.parametrize(
+    "cpus, jobs, total, workers",
+    [
+        (2, 64, 100, 2),  # clamped to the cores
+        (None, 4, 100, None),  # unknown core count: one worker
+        (64, 8, 100, 8),
+        (64, 8, 15, None),  # fewer than two items per worker
+        (64, 1, 100, None),
+    ],
+)
+def test_shard_map_clamps_workers(monkeypatch, cpus, jobs, total, workers):
+    RecordingPool.made = []
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    shards = shard_map(lambda span: span, total, jobs, lambda start, stop: (start, stop))
+    # contiguous shards in order, covering every item once
+    assert [i for start, stop in shards for i in range(start, stop)] == list(range(total))
+    if workers is None:
+        assert RecordingPool.made == [] and shards == [(0, total)]
+    else:
+        assert [pool.max_workers for pool in RecordingPool.made] == [workers]
+        assert len(shards) == workers
+
+
+def test_report_is_independent_of_clamped_jobs(catalog, monkeypatch):
+    ident = catalog.identity("eq4")
+    grid = GridSpec.uniform(ident.params, 0, 4)
+    serial = verify_grid(ident, grid).canonical_json()
+    RecordingPool.made = []
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    for jobs in (2, 3, 1000):
+        assert verify_grid(ident, grid, jobs=jobs).canonical_json() == serial
+    assert [pool.max_workers for pool in RecordingPool.made] == [2, 3, 3]
 
 
 def test_constraints_skip_envs(catalog):
