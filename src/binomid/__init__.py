@@ -17,7 +17,6 @@ from .model import (
     Term,
     canonicalize,
     eval_identity,
-    eval_term,
     structurally_equal,
     substitute,
 )

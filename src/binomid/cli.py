@@ -63,6 +63,8 @@ def _check_counts(args) -> None:
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    if getattr(args, "lo", 0) > getattr(args, "hi", 0):
+        raise UsageError(f"--lo must not exceed --hi, got {args.lo} > {args.hi}")
 
 
 def _load_catalog() -> Catalog:

@@ -68,6 +68,7 @@ class Token:
     span: SourceSpan
 
 
+_DIGITS = "0123456789"  # str.isdigit also accepts digits int() cannot read, such as '²'
 _SYMBOLS = ("::", "==", ">=", "(", ")", "[", "]", "{", "}", ",", "*", "+", "-", "^", "=")
 
 
@@ -96,9 +97,9 @@ def tokenize(text: str) -> list[Token]:
                 col += 1
             continue
         start = pos()
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             word = text[i:j]
             col += j - i

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .arith import binomial
 
@@ -63,10 +63,6 @@ class LinExpr:
 
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.coeffs)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.coeffs
 
     def evaluate(self, env: Mapping[str, int]) -> int:
         total = self.const
@@ -352,10 +348,6 @@ def eval_side(side: Side, env: Mapping[str, int]) -> int:
     return compiled.evaluate(vals)[0]
 
 
-def eval_term(t: Term, env: Mapping[str, int]) -> int:
-    return eval_side(t, env)
-
-
 def constraints_satisfied(ident: Identity, env: Mapping[str, int]) -> bool:
     """True iff every recorded constraint evaluates >= 0.
 
@@ -405,12 +397,7 @@ def _canonical_bound_name(taken: set[str]) -> str:
 def _rename_bound(s: SumExpr, new: str) -> SumExpr:
     if s.bound_var == new:
         return s
-    m = {s.bound_var: LinExpr.var(new)}
-    body = Term(
-        s.body.sign_exponent.subst(m) if s.body.sign_exponent is not None else None,
-        tuple(BinomFactor(f.upper.subst(m), f.lower.subst(m)) for f in s.body.factors),
-    )
-    return SumExpr(new, s.lower, s.upper, body)
+    return SumExpr(new, s.lower, s.upper, _subst_term(s.body, {s.bound_var: LinExpr.var(new)}))
 
 
 def canonicalize(ident: Identity) -> Identity:
@@ -630,88 +617,22 @@ def apply_chain(ident: Identity, steps) -> Identity:
 # Structural equality (never numeric)
 
 
-def _unify_lin(e1: LinExpr, e2: LinExpr, pi: dict[str, str], used: set[str]) -> Iterator[None]:
-    """Extend the bijection pi so that e1 maps onto e2; yields per solution."""
-    if e1.const != e2.const or len(e1.coeffs) != len(e2.coeffs):
-        return
-
-    def go(idx: int, remaining: dict[str, int]) -> Iterator[None]:
-        if idx == len(e1.coeffs):
-            if not remaining:
-                yield None
-            return
-        v, c = e1.coeffs[idx]
-        if v in pi:
-            w = pi[v]
-            if remaining.get(w) == c:
-                rest = dict(remaining)
-                del rest[w]
-                yield from go(idx + 1, rest)
-            return
-        for w, d in list(remaining.items()):
-            if d != c or w in used:
-                continue
-            pi[v] = w
-            used.add(w)
-            rest = dict(remaining)
-            del rest[w]
-            yield from go(idx + 1, rest)
-            del pi[v]
-            used.discard(w)
-
-    yield from go(0, dict(e2.coeffs))
-
-
-def _unify_term(t1: Term, t2: Term, pi, used) -> Iterator[None]:
-    s1, s2 = t1.sign_exponent, t2.sign_exponent
-    if (s1 is None) != (s2 is None) or len(t1.factors) != len(t2.factors):
-        return
-
-    def factors(idx: int, left: list[BinomFactor]) -> Iterator[None]:
-        if idx == len(t1.factors):
-            yield None
-            return
-        f1 = t1.factors[idx]
-        for pos, f2 in enumerate(left):
-            for _ in _unify_lin(f1.upper, f2.upper, pi, used):
-                for _ in _unify_lin(f1.lower, f2.lower, pi, used):
-                    yield from factors(idx + 1, left[:pos] + left[pos + 1 :])
-
-    if s1 is None:
-        yield from factors(0, list(t2.factors))
-    else:
-        for _ in _unify_lin(s1, s2, pi, used):
-            yield from factors(0, list(t2.factors))
-
-
-def _unify_identity(a: Identity, b: Identity, pi, used) -> Iterator[None]:
-    if isinstance(a.lhs, SumExpr) != isinstance(b.lhs, SumExpr):
-        return
-    if isinstance(a.lhs, SumExpr):
-        # the bound variables are matched positionally, outside the bijection
-        pi = dict(pi)
-        pi[a.lhs.bound_var] = b.lhs.bound_var
-        used = used | {b.lhs.bound_var}
-        for _ in _unify_lin(a.lhs.lower, b.lhs.lower, pi, used):
-            for _ in _unify_lin(a.lhs.upper, b.lhs.upper, pi, used):
-                for _ in _unify_term(a.lhs.body, b.lhs.body, pi, used):
-                    yield from _unify_term(a.rhs, b.rhs, pi, used)
-    else:
-        for _ in _unify_term(a.lhs, b.lhs, pi, used):
-            yield from _unify_term(a.rhs, b.rhs, pi, used)
-
-
 def structurally_equal(a: Identity, b: Identity, allow_renaming: bool = False) -> bool:
     """True iff canonical forms coincide, optionally up to renaming params.
 
     Compares the equation shape only (constraints and names are metadata);
-    never resorts to numeric sampling.
+    never resorts to numeric sampling. Renaming tries every bijection of
+    a's parameters onto b's, declared order first, so a mismatch between
+    identities with p parameters costs p! substitutions.
     """
     ca, cb = canonicalize(a), canonicalize(b)
     if not allow_renaming:
         return ca.lhs == cb.lhs and ca.rhs == cb.rhs
     if len(ca.params) != len(cb.params):
         return False
-    for _ in _unify_identity(ca, cb, {}, set()):
-        return True
+    for images in itertools.permutations(cb.params):
+        sub = Substitution.of({p: LinExpr.var(q) for p, q in zip(ca.params, images)}, cb.params)
+        renamed = substitute(ca, sub, cb.name)
+        if renamed.lhs == cb.lhs and renamed.rhs == cb.rhs:
+            return True
     return False

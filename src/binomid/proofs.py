@@ -27,7 +27,6 @@ from .model import (
     canonicalize_term,
     eval_identity,
     eval_side,
-    eval_term,
     substitute,
 )
 from .resexpr import (
@@ -153,9 +152,6 @@ class StepResult:
     ok: bool
     message: str = ""
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _context(script: ProofScript, env: Mapping[str, int], window: int) -> EvalContext:
     full = script.instance_env(env)
@@ -247,7 +243,7 @@ def _check_recognize(script: ProofScript, step: ProofStep, ctx: EvalContext) -> 
 
     # (ii) substituted closed form times carried multiplier gives the subject rhs
     product = Term(None, specialized.rhs.factors + script.carried.factors)
-    if eval_term(product, ctx.env) != eval_term(script.subject.rhs, ctx.env):
+    if eval_side(product, ctx.env) != eval_side(script.subject.rhs, ctx.env):
         return StepResult(False, "substituted rhs times carried multiplier != subject rhs")
 
     # close the argument numerically: premise instance and subject instance hold
@@ -301,9 +297,6 @@ class ProofReport:
         if include_elapsed:
             out["elapsed_ms"] = self.elapsed_ms
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_json_dict(include_elapsed=False), sort_keys=True)

@@ -444,9 +444,6 @@ class LaurentSeries:
         sup_hi = tuple(e * m if t.sup_hi[i] <= 0 else INF for i, m in enumerate(mu))
         return LaurentSeries(self.vars, total.coeffs, sup_lo, sup_hi, total.acc_lo, total.acc_hi)
 
-    def __pow__(self, e: int) -> "LaurentSeries":
-        return self.pow(e)
-
 
 # ---------------------------------------------------------------------------
 # Residue extraction

@@ -76,7 +76,6 @@ class VerificationReport:
     exploratory: list[Failure] = field(default_factory=list)
     seed: Optional[int] = None
     trials: Optional[int] = None
-    bound_sensitive: Optional[bool] = None
 
     @property
     def ok(self) -> bool:
@@ -93,14 +92,9 @@ class VerificationReport:
             out["seed"] = self.seed
             out["trials"] = self.trials
             out["exploratory"] = [f.as_json() for f in self.exploratory]
-        if self.bound_sensitive is not None:
-            out["bound_sensitive"] = self.bound_sensitive
         if include_elapsed:
             out["elapsed_ms"] = self.elapsed_ms
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def canonical_json(self) -> str:
         """Deterministic serialization (elapsed time omitted) for comparisons."""

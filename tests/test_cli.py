@@ -166,6 +166,7 @@ def test_json_report_schema_on_verify(capsys):
     (("fuzz", "--identity", "chugen", "--trials", "-5"), "--trials"),
     (("check-arith", "--bound", "-3"), "--bound"),
     (("verify", "--identity", "chugen", "--jobs", "0"), "--jobs"),
+    (("fuzz", "--identity", "chugen", "--lo", "5", "--hi", "1"), "--lo"),
 ])
 def test_bad_numeric_flag_is_usage_error(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
@@ -183,6 +184,16 @@ def test_unreadable_catalog_file_is_input_error(capsys, tmp_path, monkeypatch, c
     code, _, err = run_cli(capsys, "catalog")
     assert code == 2
     assert "cannot read catalog" in err
+
+
+def test_unparsable_catalog_file_is_input_error(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "mine.bid"
+    path.write_text("identity sq params(n) :: C(n,²) == C(n,2)\n", encoding="utf-8")
+    monkeypatch.setenv("BINOMID_CATALOG", str(path))
+    code, out, err = run_cli(capsys, "catalog")
+    assert code == 2
+    assert "unexpected character" in err
+    assert out == ""
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):

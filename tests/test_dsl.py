@@ -227,7 +227,7 @@ def test_round_trip_random_asts(ident):
 def test_corrupted_text_errors_stay_in_bounds(ident, rng):
     text = print_identity(ident)
     pos = rng.randrange(len(text))
-    mutation = rng.choice(["]", ")", "(", "==", "#", "@", "", "C(", ","])
+    mutation = rng.choice(["]", ")", "(", "==", "#", "@", "", "C(", ",", "²"])
     corrupted = text[:pos] + mutation + text[pos + 1 :]
     try:
         parse_identity(corrupted)
