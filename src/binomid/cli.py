@@ -38,6 +38,8 @@ def _parse_ranges(specs) -> tuple[dict[str, tuple[int, int]], tuple[int, int] | 
         name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
         if lo > hi:
             raise UsageError(f"bad range '{spec}': empty interval")
+        if name in explicit or (name == "*" and star is not None):
+            raise UsageError(f"--range given twice for '{name}'")
         if name == "*":
             star = (lo, hi)
         else:

@@ -258,10 +258,7 @@ def _evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
     if isinstance(node, RPow):
         return evaluate(node.base, ctx).pow(node.exponent.evaluate(ctx.env), ctx.window)
     if isinstance(node, RProd):
-        out = evaluate(node.factors[0], ctx)
-        for f in node.factors[1:]:
-            out = (out * evaluate(f, ctx)).clipped(ctx.window)
-        return out
+        return _product(node.factors, ctx)
     if isinstance(node, RAdd):
         out = LaurentSeries.zero(ctx.vars)
         for sign, sub in node.terms:
@@ -291,10 +288,21 @@ def _evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
         expanded = _res_of_geo_product(node, ctx)
         if expanded is not None:
             return expanded
+        if isinstance(node.body, RProd):
+            return _product(node.body.factors, ctx, node.var)
         return res(evaluate(node.body, ctx), node.var)
     if isinstance(node, RGeo):
         return geometric_collapse(evaluate(node.body, ctx), ctx.window)
     raise TypeError(f"unknown node {node!r}")
+
+
+def _product(factors, ctx: EvalContext, var: str | None = None) -> LaurentSeries:
+    """The product of two or more factors, clipped to the window after each
+    multiplication; with `var`, the last multiplication also takes the residue."""
+    out = evaluate(factors[0], ctx)
+    for f in factors[1:-1]:
+        out = out.__mul__(evaluate(f, ctx), ctx.window)
+    return out.__mul__(evaluate(factors[-1], ctx), ctx.window, var)
 
 
 def _res_of_geo_product(node: RRes, ctx: EvalContext):
@@ -315,7 +323,7 @@ def _res_of_geo_product(node: RRes, ctx: EvalContext):
     ratio = evaluate(geos[0].body, ctx)
     rest = LaurentSeries.constant(ctx.vars, 1)
     for f in rest_nodes:
-        rest = (rest * evaluate(f, ctx)).clipped(ctx.window)
+        rest = rest.__mul__(evaluate(f, ctx), ctx.window)
     if rest.is_zero:
         return LaurentSeries.zero(ctx.vars)
     i = ctx.vars.index(node.var)
@@ -334,8 +342,8 @@ def _res_of_geo_product(node: RRes, ctx: EvalContext):
     power = LaurentSeries.constant(ctx.vars, 1)
     for k in range(count + 1):
         if k > 0:
-            power = (power * ratio).clipped(ctx.window)
-        total = total + res(rest * power, node.var)
+            power = power.__mul__(ratio, ctx.window)
+        total = total + rest.__mul__(power, var=node.var)
     return total
 
 

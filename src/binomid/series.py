@@ -23,6 +23,18 @@ the window exactly as repeated multiply-and-clip would narrow it (see
 more terms, or not fully known, go through multiply-and-clip: repeated
 products for e > 0 and the truncated binomial series of the unit part for
 e < 0.
+
+Every product goes through one kernel, `__mul__(other, window, var)`, which
+returns `res((self * other).clipped(window), var)` without forming the pairs
+that the clip or the residue would drop; `a * b` is the call without window
+or residue. Its boxes come from the product's formulas intersected with the
+window, and each left row is tested once against bounds on the right table:
+a row wholly inside the box skips the per-pair test. With `var`, only pairs
+landing on var^-1 are formed. Skipping pairs cannot change a box:
+normalization reads the table only to tighten the support of an exact
+series, and a product of exact series already has the tight support sup(a) +
+sup(b), since Laurent polynomials over Q have no zero divisors; a product
+with an inexact factor is inexact.
 """
 from __future__ import annotations
 
@@ -238,37 +250,59 @@ class LaurentSeries:
         return LaurentSeries(self.vars, coeffs, move(self.sup_lo), move(self.sup_hi),
                              move(self.acc_lo), move(self.acc_hi), boxed=True)
 
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+    def __mul__(self, other: "LaurentSeries", window: Optional[Mapping[str, tuple[int, int]]] = None,
+                var: Optional[str] = None) -> "LaurentSeries":
+        """`res((self * other).clipped(window), var)`, forming only the pairs
+        that land in the result; `window` and `var` may each be None."""
         self._check_compatible(other)
+        i = None if var is None else self._var_index(var)
         if self.is_zero or other.is_zero:
-            return LaurentSeries.zero(self.vars)
-        acc_lo, acc_hi = [], []
-        for i in range(len(self.vars)):
-            uppers = []
-            if not (self.sup_hi[i] <= self.acc_hi[i]):
-                uppers.append(self.acc_hi[i] + other.sup_lo[i])
-            if not (other.sup_hi[i] <= other.acc_hi[i]):
-                uppers.append(other.acc_hi[i] + self.sup_lo[i])
-            acc_hi.append(min(uppers) if uppers else INF)
-            lowers = []
-            if not (self.sup_lo[i] >= self.acc_lo[i]):
-                lowers.append(self.acc_lo[i] + other.sup_hi[i])
-            if not (other.sup_lo[i] >= other.acc_lo[i]):
-                lowers.append(other.acc_lo[i] + self.sup_hi[i])
-            acc_lo.append(max(lowers) if lowers else -INF)
-        coeffs: dict[Expo, Number] = {}
-        lo, hi = tuple(acc_lo), tuple(acc_hi)
-        bounded = any(a != -INF for a in lo) or any(b != INF for b in hi)
-        add, le, get = operator.add, operator.le, coeffs.get
-        right = list(other.coeffs.items())
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                if bounded and not (all(map(le, lo, e)) and all(map(le, e, hi))):
-                    continue
-                coeffs[e] = get(e, 0) + c1 * c2
+            return self if self.is_zero else other
+        # a factor not fully known on one side bounds the product's accuracy there
+        lo, hi = [], []
+        for sl, sh, al, ah, tl, th, bl, bh in zip(self.sup_lo, self.sup_hi, self.acc_lo, self.acc_hi,
+                                                 other.sup_lo, other.sup_hi, other.acc_lo, other.acc_hi):
+            hi.append(min(ah + tl if sh > ah else INF, bh + sl if th > bh else INF))
+            lo.append(max(al + th if sl < al else -INF, bl + sh if tl < bl else -INF))
+        if window is not None:
+            win_lo, win_hi = _box(self.vars, window)
+            lo, hi = map(max, lo, win_lo), map(min, hi, win_hi)
+        lo, hi = tuple(lo), tuple(hi)
+        add, le = operator.add, operator.le
         sup_lo = tuple(map(add, self.sup_lo, other.sup_lo))
         sup_hi = tuple(map(add, self.sup_hi, other.sup_hi))
+        # the right table lies inside both of its boxes
+        right_lo = tuple(map(max, other.sup_lo, other.acc_lo))
+        right_hi = tuple(map(min, other.sup_hi, other.acc_hi))
+        if i is None:
+            rows = {None: list(other.coeffs.items())}
+        else:
+            # what `res` asks of the clipped product, whose support box is
+            # sup_lo..sup_hi and whose accuracy box is lo..hi or covers it
+            if -1 < sup_lo[i] or -1 > sup_hi[i]:
+                return LaurentSeries.zero(self.vars)
+            if not (lo[i] <= -1 <= hi[i]):
+                raise WindowError(f"residue in '{var}': exponent -1 is outside the accuracy window")
+            fix = lambda t, v: t[:i] + (v,) + t[i + 1 :]
+            sup_lo, sup_hi, lo, hi = fix(sup_lo, 0), fix(sup_hi, 0), fix(lo, -INF), fix(hi, INF)
+            # a pair lands on var^-1 exactly when e2[var] = -1 - e1[var]
+            rows = {}
+            for e2, c2 in other.coeffs.items():
+                rows.setdefault(-1 - e2[i], []).append((fix(e2, 0), c2))
+        coeffs: dict[Expo, Number] = {}
+        get = coeffs.get
+        for e1, c1 in self.coeffs.items():
+            row = rows.get(None if i is None else e1[i], ())
+            if not row:
+                continue
+            if i is not None:
+                e1 = fix(e1, 0)
+            inside = (all(map(le, lo, map(add, e1, right_lo)))
+                      and all(map(le, map(add, e1, right_hi), hi)))
+            for e2, c2 in row:
+                e = tuple(map(add, e1, e2))
+                if inside or (all(map(le, lo, e)) and all(map(le, e, hi))):
+                    coeffs[e] = get(e, 0) + c1 * c2
         return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi, boxed=True)
 
     def clipped(self, window: Mapping[str, tuple[int, int]]) -> "LaurentSeries":
@@ -302,9 +336,7 @@ class LaurentSeries:
         if e > 0:
             out = self
             for _ in range(e - 1):
-                out = out * self
-                if window is not None:
-                    out = out.clipped(window)
+                out = out.__mul__(self, window)
             return out
         return self._unit_pow(e, window)
 
@@ -432,7 +464,7 @@ class LaurentSeries:
         total = LaurentSeries.constant(self.vars, 1)
         power = LaurentSeries.constant(self.vars, 1)
         for i in range(1, depth + 1):
-            power = (power * t).clipped(shifted_window)
+            power = power.__mul__(t, shifted_window)
             total = total + power.scaled(binomial(e, i))
         scale = Fraction(c) ** e
         scale = int(scale) if scale.denominator == 1 else scale
@@ -507,7 +539,7 @@ def geometric_collapse(ratio: LaurentSeries, window: Mapping[str, tuple[int, int
     total = LaurentSeries.constant(ratio.vars, 1)
     power = LaurentSeries.constant(ratio.vars, 1)
     for _ in range(count):
-        power = (power * ratio).clipped(window)
+        power = power.__mul__(ratio, window)
         total = total + power
     total = total.clipped(window)
     sup_lo = tuple(0 if lo >= 0 else -INF for lo in ratio.sup_lo)

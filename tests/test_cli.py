@@ -167,6 +167,9 @@ def test_json_report_schema_on_verify(capsys):
     (("check-arith", "--bound", "-3"), "--bound"),
     (("verify", "--identity", "chugen", "--jobs", "0"), "--jobs"),
     (("fuzz", "--identity", "chugen", "--lo", "5", "--hi", "1"), "--lo"),
+    (("verify", "--identity", "chugen", "--range", "n=0..1", "--range", "n=0..3"), "--range"),
+    (("verify", "--identity", "chugen", "--range", "*=0..1", "--range", "*=0..0"), "--range"),
+    (("prove", "--script", "proof-eq1", "--range", "b=0..0", "--range", "b=0..0"), "--range"),
 ])
 def test_bad_numeric_flag_is_usage_error(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
