@@ -23,6 +23,6 @@ from .model import (
 from .proofs import ProofReport, ProofScript, check_step, run_proof_script
 from .resexpr import series_expand
 from .series import LaurentSeries, geometric_collapse, res, residue_eval_simple_pole
-from .verify import GridSpec, VerificationReport, bound_sensitivity, fuzz, verify_grid
+from .verify import GridSpec, VerificationReport, fuzz, verify_grid
 
 __version__ = "0.1.0"

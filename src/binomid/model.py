@@ -5,10 +5,14 @@ binomial factors, products of factors with an optional (-1)^e sign, finite
 sums over one bound variable, and named identities with nonnegativity
 constraints. Every AST node is an immutable dataclass; all operations return
 new values and are safe under concurrency. `CompiledIdentity`, the one
-evaluator, holds a binomial memo and belongs to the caller that built it.
+evaluator, runs two Python functions generated from an identity's AST. Their
+code objects are compiled once and cached per (lhs, rhs, constraints, names
+in scope), and hold no state; each `CompiledIdentity` execs them into its own
+namespace with its own binomial memo, and belongs to the caller that built it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
@@ -228,119 +232,107 @@ class EvalResult:
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# An identity is compiled into closures over a flat list of values, one slot
-# per parameter; the bound variable (if any) occupies the last slot.
-# Binomials are memoized per compiled identity: across a grid the same
-# (n, k) pairs recur constantly.
+# An identity is evaluated by two Python functions generated from its AST.
+# The names in scope become the locals v0, v1, ... in declared order and the
+# bound variable the next one; each affine expression is written out inline
+# over those locals and int literals, so no name or text from a catalog
+# reaches the source. Binomials go through a memo dict owned by each compiled
+# identity: across a grid the same (n, k) pairs recur constantly. Compiling
+# the source costs far more than running it once, so the code objects (never
+# the functions, whose globals hold a memo) are cached per (lhs, rhs,
+# constraints, names in scope). The memo calls the `binomial` this module
+# holds when the identity is compiled, so a rebound `model.binomial` (as the
+# benchmark tracer installs) sees every computed pair.
+
+_CODE_CACHE_SIZE = 256
 
 
-def _compile_lin(e: LinExpr, slot: Mapping[str, int]):
-    for v, _ in e.coeffs:
+class _Memo(dict):
+    """(n, k) -> binomial(n, k), computed on the first lookup of the pair."""
+
+    def __init__(self, binomial):
+        super().__init__()
+        self.binomial = binomial
+
+    def __missing__(self, key):
+        value = self[key] = self.binomial(*key)
+        return value
+
+
+def _lin(e: LinExpr, slot: Mapping[str, str]) -> str:
+    parts = []
+    for v, c in e.coeffs:
         if v not in slot:
             raise EvalError(f"unbound variable '{v}' in expression {e}")
-    const = e.const
-    items = tuple((slot[v], c) for v, c in e.coeffs)
-    if not items:
-        return lambda vals: const
+        parts.append(slot[v] if c == 1 else f"-{slot[v]}" if c == -1 else f"{c:d}*{slot[v]}")
+    if e.const or not parts:
+        parts.append(f"{e.const:d}")
+    return " + ".join(parts).replace("+ -", "- ")
 
-    def ev(vals, _items=items, _const=const):
-        total = _const
-        for i, c in _items:
-            total += c * vals[i]
-        return total
 
-    return ev
+def _term_lines(t: Term, slot: Mapping[str, str]) -> list[str]:
+    """Statements leaving the term's value in t; no factor after a zero is looked up."""
+    sign = _lin(t.sign_exponent, slot) if t.sign_exponent is not None else None
+    keys = [f"cache[{_lin(f.upper, slot)}, {_lin(f.lower, slot)}]" for f in t.factors]
+    lines = [f"t = {keys[0]}" if keys else "t = 1"] + [f"if t: t *= {key}" for key in keys[1:]]
+    if sign is not None:
+        lines.append(f"if t and ({sign}) % 2: t = -t")
+    return lines
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _evaluator_code(lhs: Side, rhs: Term, constraints: tuple[LinExpr, ...], names: tuple[str, ...]):
+    """Source and code object defining `evaluate` and `admissible` over `vals`."""
+    slot = {p: f"v{i}" for i, p in enumerate(names)}
+    unpack = f"[{', '.join(slot.values())}] = vals"
+    rhs_lines = _term_lines(rhs, slot)
+    bv = lhs.bound_var if isinstance(lhs, SumExpr) else None
+    if bv is None:
+        lhs_lines = _term_lines(lhs, slot) + ["lhs = t"]
+    else:
+        loop = f"for v{len(names)} in range({_lin(lhs.lower, slot)}, {_lin(lhs.upper, slot)} + 1):"
+        slot = {**slot, bv: f"v{len(names)}"}
+        lhs_lines = ["lhs = 0", loop] + ["    " + line for line in _term_lines(lhs.body, slot)] + ["    lhs += t"]
+    checks, pointwise = [], []
+    for c in constraints:
+        (pointwise if bv in c.variables() else checks).append(f"if {_lin(c, slot)} < 0: return False")
+    if pointwise:
+        checks += [loop] + ["    " + line for line in pointwise]
+    source = "\n".join(
+        ["def evaluate(vals):", "    " + unpack]
+        + ["    " + line for line in lhs_lines + rhs_lines + ["return lhs, t"]]
+        + ["", "", "def admissible(vals):", "    " + unpack]
+        + ["    " + line for line in checks + ["return True"]]
+    ) + "\n"
+    return source, compile(source, "<binomid evaluator>", "exec")
 
 
 class CompiledIdentity:
     """An identity compiled for evaluation at many environments.
 
-    Values are passed as a list holding the parameters in declared order
-    plus one trailing slot, which the summation and the pointwise
-    constraints overwrite with the bound variable. Raises EvalError at
-    compile time when the identity mentions a variable that is neither a
-    parameter nor the bound variable.
+    `evaluate(vals)` returns the two sides and `admissible(vals)` whether
+    every constraint is >= 0, for `vals` the parameter values in declared
+    order; a constraint on the bound variable must hold at every index of
+    the summation range. `source` is the generated text of both functions.
+    Raises EvalError when the identity mentions a variable that is neither
+    a parameter nor, inside the sum and its constraints, the bound variable.
     """
 
     def __init__(self, ident: Identity):
-        params = ident.params
-        slot = {p: i for i, p in enumerate(params)}
-        bv = ident.bound_var()
-        if bv is not None:
-            slot[bv] = len(params)
-        self.bound_slot = len(params)
-        self.cache: dict[tuple[int, int], int] = {}
-
-        def compile_term(t: Term):
-            sign = _compile_lin(t.sign_exponent, slot) if t.sign_exponent is not None else None
-            factors = tuple((_compile_lin(f.upper, slot), _compile_lin(f.lower, slot)) for f in t.factors)
-            return sign, factors
-
-        self.rhs = compile_term(ident.rhs)
-        if isinstance(ident.lhs, SumExpr):
-            self.sum_lower = _compile_lin(ident.lhs.lower, slot)
-            self.sum_upper = _compile_lin(ident.lhs.upper, slot)
-            self.body = compile_term(ident.lhs.body)
-            self.lhs_term = None
-        else:
-            self.lhs_term = compile_term(ident.lhs)
-        bound_vars = {bv} if bv is not None else set()
-        self.free_constraints = []
-        self.bound_constraints = []
-        for c in ident.constraints:
-            target = self.bound_constraints if bound_vars & set(c.variables()) else self.free_constraints
-            target.append(_compile_lin(c, slot))
-
-    def _binom(self, n: int, k: int) -> int:
-        key = (n, k)
-        v = self.cache.get(key)
-        if v is None:
-            v = binomial(n, k)
-            self.cache[key] = v
-        return v
-
-    def _term(self, compiled, vals) -> int:
-        sign, factors = compiled
-        value = 1
-        for up, lo in factors:
-            value *= self._binom(up(vals), lo(vals))
-            if value == 0:
-                return 0
-        if sign is not None and sign(vals) % 2 == 1:
-            value = -value
-        return value
-
-    def admissible(self, vals) -> bool:
-        """True iff every constraint is >= 0; constraints on the bound
-        variable must hold at every index of the summation range."""
-        for c in self.free_constraints:
-            if c(vals) < 0:
-                return False
-        if self.bound_constraints and self.lhs_term is None:
-            lo, hi = self.sum_lower(vals), self.sum_upper(vals)
-            for k in range(lo, hi + 1):
-                vals[self.bound_slot] = k
-                for c in self.bound_constraints:
-                    if c(vals) < 0:
-                        return False
-        return True
-
-    def evaluate(self, vals) -> tuple[int, int]:
-        if self.lhs_term is not None:
-            lhs = self._term(self.lhs_term, vals)
-        else:
-            lhs = 0
-            for k in range(self.sum_lower(vals), self.sum_upper(vals) + 1):
-                vals[self.bound_slot] = k
-                lhs += self._term(self.body, vals)
-        return lhs, self._term(self.rhs, vals)
+        self.source, code = _evaluator_code(ident.lhs, ident.rhs, ident.constraints, ident.params)
+        namespace = {"cache": _Memo(binomial)}
+        exec(code, namespace)
+        # popped, so the namespace (the functions' globals) holds no reference
+        # cycle and the memo is freed with this object, not by the collector
+        self.evaluate = namespace.pop("evaluate")
+        self.admissible = namespace.pop("admissible")
 
 
 def _compiled_at(ident: Identity, env: Mapping[str, int]) -> tuple[CompiledIdentity, list[int]]:
     """The identity compiled with every name of env in scope, and env's values."""
     names = tuple(env)
     compiled = CompiledIdentity(Identity(ident.name, names, ident.lhs, ident.rhs, ident.constraints))
-    return compiled, [env[n] for n in names] + [0]
+    return compiled, [env[n] for n in names]
 
 
 def eval_side(side: Side, env: Mapping[str, int]) -> int:

@@ -7,6 +7,7 @@ identity's declared parameter order.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -15,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .model import CompiledIdentity, Identity, LinExpr, SumExpr, eval_side
+from .model import CompiledIdentity, Identity
 
 
 class GridError(Exception):
@@ -101,31 +102,19 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(include_elapsed=False), sort_keys=True)
 
 
-def _decode(index: int, ranges) -> list[int]:
-    vals = []
-    for lo, hi in reversed(ranges):
-        width = hi - lo + 1
-        index, digit = divmod(index, width)
-        vals.append(lo + digit)
-    vals.reverse()
-    return vals
-
-
 def _grid_shard(args):
     ident, ranges, start, stop = args
     compiled = CompiledIdentity(ident)
     checked = 0
     failures = []
-    vals = [0] * (len(ident.params) + 1)
-    for index in range(start, stop):
-        vals[: len(ident.params)] = _decode(index, ranges)
-        if not compiled.admissible(vals):
+    axes = [range(lo, hi + 1) for lo, hi in ranges]
+    for point in itertools.islice(itertools.product(*axes), start, stop):
+        if not compiled.admissible(point):
             continue
         checked += 1
-        lhs, rhs = compiled.evaluate(vals)
+        lhs, rhs = compiled.evaluate(point)
         if lhs != rhs:
-            env = dict(zip(ident.params, vals[: len(ident.params)]))
-            failures.append(Failure(env, lhs, rhs))
+            failures.append(Failure(dict(zip(ident.params, point)), lhs, rhs))
     return checked, failures
 
 
@@ -166,30 +155,6 @@ def verify_grid(ident: Identity, grid: GridSpec, jobs: int = 1) -> VerificationR
     return VerificationReport(ident.name, grid_dict, checked, failures, elapsed)
 
 
-@dataclass(frozen=True)
-class BoundSensitivity:
-    stated: int
-    extended: int
-
-    @property
-    def equal(self) -> bool:
-        return self.stated == self.extended
-
-
-def bound_sensitivity(ident: Identity, env: Mapping[str, int], window: int) -> BoundSensitivity:
-    """Compare the stated-bounds sum against [lower-window, upper+window].
-
-    They agree exactly when every out-of-range summand vanishes.
-    """
-    if not isinstance(ident.lhs, SumExpr):
-        raise ValueError(f"identity '{ident.name}' has no summation side")
-    if window < 0:
-        raise ValueError("window must be nonnegative")
-    s = ident.lhs
-    wide = SumExpr(s.bound_var, s.lower - LinExpr(window), s.upper + LinExpr(window), s.body)
-    return BoundSensitivity(eval_side(s, env), eval_side(wide, env))
-
-
 def fuzz(ident: Identity, seed: int, trials: int, lo: int, hi: int) -> VerificationReport:
     """Randomized check over [lo, hi]^params, deterministic for a given seed.
 
@@ -204,12 +169,10 @@ def fuzz(ident: Identity, seed: int, trials: int, lo: int, hi: int) -> Verificat
     compiled = CompiledIdentity(ident)
     failures: list[Failure] = []
     exploratory: list[Failure] = []
-    vals = [0] * (len(ident.params) + 1)
     for _ in range(trials):
         point = [rng.randint(lo, hi) for _ in ident.params]
-        vals[: len(ident.params)] = point
-        admissible = compiled.admissible(vals)
-        lhs, rhs = compiled.evaluate(vals)
+        admissible = compiled.admissible(point)
+        lhs, rhs = compiled.evaluate(point)
         if lhs != rhs:
             failure = Failure(dict(zip(ident.params, point)), lhs, rhs)
             (failures if admissible else exploratory).append(failure)

@@ -5,13 +5,16 @@ the environment dictionary. It is the evaluator binomid used before the
 compiled one became the only one, kept here as an independent reference.
 """
 import dataclasses
+import itertools
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomid.arith import binomial
 from binomid.dsl import parse_identity
 from binomid.model import (
+    CompiledIdentity,
     ConstraintError,
     EvalError,
     SumExpr,
@@ -120,3 +123,52 @@ def test_compiled_evaluator_agrees_with_tree_walk(case):
             assert eval_side(side, env) == oracle(side, env)
     if all(p in env for p in ident.params):
         assert constraints_satisfied(ident, env) == oracle_constraints_satisfied(ident, env)
+
+
+# The generated source names parameters only by slot; these names shadow what
+# it does use (builtins, its locals, its memo and the slot names themselves).
+ODD_NAMES = ("range", "lhs", "v0", "binomial", "cache", "t")
+# sorted alike (and before the bound variable z), so each LinExpr lists its
+# terms in the same order
+NEUTRAL_NAMES = tuple(f"xq{sorted(ODD_NAMES).index(name)}" for name in ODD_NAMES)
+ODD_TEMPLATE = (
+    "identity odd params({0}, {1}, {2}, {3}, {4}, {5}) require {1}-{2}>=0, {0}-z>=0 :: "
+    "sum(z,{5},{1})[(-1)^(z+{4})*C({1},z)*C({0}+z,{3})*C({2},z-{5})] == (-1)^({0})*C({2}+{5},{0})"
+)
+
+
+def evaluated(ident, env):
+    """eval_identity's (lhs, rhs), or the class of the binomid error it raises."""
+    got = outcome(eval_identity, ident, env)
+    return got if isinstance(got, type) else (got.lhs, got.rhs)
+
+
+def test_parameter_names_never_reach_the_source():
+    odd = parse_identity(ODD_TEMPLATE.format(*ODD_NAMES))
+    neutral = parse_identity(ODD_TEMPLATE.format(*NEUTRAL_NAMES))
+    source = CompiledIdentity(odd).source
+    assert source == CompiledIdentity(neutral).source
+    assert not any(name in source for name in NEUTRAL_NAMES)
+    for point in itertools.product(range(-1, 3), repeat=len(ODD_NAMES)):
+        env = dict(zip(ODD_NAMES, point))
+        assert evaluated(odd, env) == outcome(oracle_identity, odd, env)
+        assert constraints_satisfied(odd, env) == oracle_constraints_satisfied(odd, env)
+        assert eval_side(odd.lhs, env) == oracle_side(odd.lhs, env)
+
+
+def test_terms_with_many_factors():
+    # one statement per factor at one indentation level: no nesting limit
+    factors = "*".join(f"C(n+{i},k)" for i in range(120))
+    ident = parse_identity(f"identity wide params(n) :: sum(k,0,n)[{factors}] == {factors.replace('k', 'n')}")
+    for n in range(-2, 4):
+        env = {"n": n}
+        assert evaluated(ident, env) == outcome(oracle_identity, ident, env)
+        assert eval_side(ident.rhs, env) == oracle_term(ident.rhs, env)
+
+
+def test_unbound_name_raises_at_every_compile():
+    side = parse_identity("identity u params(n, q) :: C(n,q) == C(n,n-q)").lhs
+    for _ in range(2):  # a failed compile is not cached
+        with pytest.raises(EvalError, match="'q'"):
+            eval_side(side, {"n": 2})
+    assert eval_side(side, {"n": 2, "q": 1}) == 2

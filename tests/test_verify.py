@@ -2,10 +2,9 @@ import itertools
 
 import pytest
 
-from binomid.dsl import parse_identity
 from binomid.model import BinomFactor, CompiledIdentity, Identity, LinExpr, Term
 from binomid import verify
-from binomid.verify import GridError, GridSpec, bound_sensitivity, fuzz, shard_map, verify_grid
+from binomid.verify import GridError, GridSpec, fuzz, shard_map, verify_grid
 
 from conftest import comb_oracle
 
@@ -78,8 +77,7 @@ def first_failing_env(ident, lo, hi):
     """First admissible environment of [lo, hi]^params where the sides differ."""
     compiled = CompiledIdentity(ident)
     for point in itertools.product(range(lo, hi + 1), repeat=len(ident.params)):
-        vals = list(point) + [0]
-        if compiled.admissible(vals) and len(set(compiled.evaluate(vals))) == 2:
+        if compiled.admissible(point) and len(set(compiled.evaluate(point))) == 2:
             return point
     return None
 
@@ -177,47 +175,6 @@ def test_constraints_skip_envs(catalog):
     report = verify_grid(stan2, GridSpec.uniform(stan2.params, 0, 5))
     assert report.ok
     assert report.instances < 6 ** 4  # constraint-violating envs skipped
-
-
-# -- bound sensitivity ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["chugen", "chu2gen"])
-def test_bound_sensitivity_vanishing_tails(catalog, name):
-    # for these two, out-of-range summands vanish on the whole 0..5 grid
-    ident = catalog.identity(name)
-    for vals in itertools.product(range(0, 6), repeat=5):
-        env = dict(zip(ident.params, vals))
-        assert bound_sensitivity(ident, env, 5).equal, env
-
-
-def test_bound_sensitivity_eq1_example(catalog):
-    # frozen from a direct brute-force evaluation of the extended sum
-    ident = catalog.identity("eq1")
-    env = {"b": 0, "c": 1, "d": 0, "n": 0, "p": 0}
-    stated = sum(
-        comb_oracle(1, k) * comb_oracle(0, -k) * comb_oracle(k, 1) * comb_oracle(-k, 0)
-        for k in range(0, 1)
-    )
-    extended = sum(
-        comb_oracle(1, k) * comb_oracle(0, -k) * comb_oracle(k, 1) * comb_oracle(-k, 0)
-        for k in range(-3, 4)
-    )
-    result = bound_sensitivity(ident, env, 3)
-    assert (result.stated, result.extended) == (stated, extended) == (0, 0)
-    assert result.equal
-
-
-def test_bound_sensitivity_detects_nonvanishing_tails():
-    ident = parse_identity("identity t params(n) :: sum(k,0,n)[C(n+k,k)] == C(n,0)")
-    result = bound_sensitivity(ident, {"n": 2}, 2)
-    assert not result.equal  # C(n+k,k) does not vanish past the stated bound
-
-
-def test_bound_sensitivity_needs_sum(catalog):
-    ident = parse_identity("identity t params(n) :: C(n,1) == C(n,n-1)")
-    with pytest.raises(ValueError):
-        bound_sensitivity(ident, {"n": 2}, 1)
 
 
 # -- fuzz -----------------------------------------------------------------------
