@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Union
 
 from .arith import binomial
@@ -34,6 +35,33 @@ class RewriteError(Exception):
 
 class SubstitutionError(Exception):
     """A substitution does not cover the parameters it must map."""
+
+
+def frozen_node(cls):
+    """A frozen dataclass whose hash is computed once per node.
+
+    Caches are keyed by AST nodes, and the generated hash would walk the
+    whole subtree on every lookup. The cached value stays out of pickles,
+    since string hashes differ between processes.
+    """
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+    values = operator.attrgetter(*names)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(values(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {n: getattr(self, n) for n in names}
+
+    cls._hash = None  # until the instance caches its own
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +165,7 @@ ONE = LinExpr(1)
 # Terms, sums, identities
 
 
-@dataclass(frozen=True)
+@frozen_node
 class BinomFactor:
     upper: LinExpr
     lower: LinExpr
@@ -149,7 +177,7 @@ class BinomFactor:
         return f"C({self.upper},{self.lower})"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Term:
     """Product of binomial factors with an optional (-1)^sign_exponent."""
 
@@ -166,7 +194,7 @@ class Term:
         return out
 
 
-@dataclass(frozen=True)
+@frozen_node
 class SumExpr:
     """sum of body over bound_var from lower to upper inclusive."""
 
@@ -186,7 +214,7 @@ class SumExpr:
 Side = Union[SumExpr, Term]
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Identity:
     """Named parameterized equation lhs == rhs with >= 0 constraints."""
 

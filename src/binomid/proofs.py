@@ -153,11 +153,12 @@ class StepResult:
     message: str = ""
 
 
-def _context(script: ProofScript, env: Mapping[str, int], window: int) -> EvalContext:
+def _context(script: ProofScript, env: Mapping[str, int], window: int, memo: dict) -> EvalContext:
+    """The instance's context; instances of one budget may share `memo`."""
     full = script.instance_env(env)
     m = script.budget_hint.evaluate(full) + window
     budget = {v: (-m, m) for v in SERIES_VARS}
-    return EvalContext(SERIES_VARS, budget, max(window, 1), full, {})
+    return EvalContext(SERIES_VARS, budget, max(window, 1), full, {}, memo)
 
 
 def _difference_message(diff, vars) -> str:
@@ -180,7 +181,7 @@ def check_step(
     error, not a pass). The Recognize step checks the substitution into the
     target identity structurally and numerically.
     """
-    ctx = _context(script, instance, window)
+    ctx = _context(script, instance, window, {})
     return _check_step_in_context(script, index, ctx, trace)
 
 
@@ -302,9 +303,9 @@ class ProofReport:
         return json.dumps(self.to_json_dict(include_elapsed=False), sort_keys=True)
 
 
-def _run_instance(script: ProofScript, env, window: int, trace) -> tuple[int, Optional[StepFailure]]:
+def _run_instance(script: ProofScript, env, window: int, trace, memo) -> tuple[int, Optional[StepFailure]]:
     """Number of steps passed, and the first failure if any."""
-    ctx = _context(script, env, window)
+    ctx = _context(script, env, window, memo)
     for i in range(len(script.steps)):
         try:
             result = _check_step_in_context(script, i, ctx, trace)
@@ -316,8 +317,33 @@ def _run_instance(script: ProofScript, env, window: int, trace) -> tuple[int, Op
 
 
 def _script_worker(args):
+    """The results of one shard's instances, in instance order.
+
+    Instances of one budget share a window and so one evaluation memo. They
+    are visited in budget order, and each memo is dropped when its budget is
+    done; a traced run keeps instance order, so its output reads instance by
+    instance. A WindowError raises as in instance order: the first instance
+    that raises it wins, and later instances are not run.
+    """
     script, envs, window, trace = args
-    return [_run_instance(script, env, window, trace) for env in envs]
+    budgets = [script.budget_hint.evaluate(script.instance_env(env)) for env in envs]
+    order = range(len(envs))
+    if trace is None:
+        order = sorted(order, key=budgets.__getitem__)
+    results = [None] * len(envs)
+    memo, budget, error = None, None, None
+    for i in order:
+        if error is not None and i > error[0]:
+            continue
+        if budgets[i] != budget:
+            memo, budget = {}, budgets[i]
+        try:
+            results[i] = _run_instance(script, envs[i], window, trace, memo)
+        except WindowError as exc:
+            error = (i, exc)
+    if error is not None:
+        raise error[1]
+    return results
 
 
 def run_proof_script(

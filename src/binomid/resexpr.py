@@ -21,77 +21,52 @@ k > b; the evaluator checks that assertion on a probe range past the bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from . import dsl
 from .arith import binomial
-from .model import BinomFactor, LinExpr, SumExpr, Term
-from .series import INF, EngineError, LaurentSeries, geometric_collapse, res
+from .model import BinomFactor, LinExpr, SumExpr, Term, frozen_node
+from .series import INF, EngineError, LaurentSeries, geometric_collapse, res, window_box
 
 
 class SupportBoundError(Exception):
     """An isum term past the declared support bound is not zero."""
 
 
-def _node(cls):
-    """A frozen dataclass whose hash is computed once per node.
-
-    Evaluation caches are keyed by nodes, and the generated hash would walk
-    the whole subtree on every lookup. The cached value stays out of pickles,
-    since string hashes differ between processes.
-    """
-    cls = dataclass(frozen=True)(cls)
-    names = tuple(f.name for f in fields(cls))
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((cls.__name__,) + tuple(getattr(self, n) for n in names))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self):
-        return {n: getattr(self, n) for n in names}
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
-
-
-@_node
+@frozen_node
 class RInt:
     value: int
 
 
-@_node
+@frozen_node
 class RVar:
     name: str
 
 
-@_node
+@frozen_node
 class RBinom:
     upper: LinExpr
     lower: LinExpr
 
 
-@_node
+@frozen_node
 class RPow:
     base: "RNode"
     exponent: LinExpr
 
 
-@_node
+@frozen_node
 class RProd:
     factors: tuple["RNode", ...]
 
 
-@_node
+@frozen_node
 class RAdd:
     terms: tuple[tuple[int, "RNode"], ...]  # (sign, node)
 
 
-@_node
+@frozen_node
 class RSum:
     var: str
     lower: LinExpr
@@ -99,20 +74,20 @@ class RSum:
     body: "RNode"
 
 
-@_node
+@frozen_node
 class RISum:
     var: str
     bound: LinExpr
     body: "RNode"
 
 
-@_node
+@frozen_node
 class RRes:
     var: str
     body: "RNode"
 
 
-@_node
+@frozen_node
 class RGeo:
     body: "RNode"
 
@@ -220,28 +195,90 @@ def parse_resexpr(text: str) -> RNode:
 # Evaluation
 
 
+# Entries one memo may hold before it is emptied and refilled. A memo serves
+# the instances of one window in one shard, and their number, so the memo's
+# size, grows with the parameter ranges.
+MEMO_LIMIT = 8_192
+
+
 @dataclass
 class EvalContext:
+    """Where and at which parameter values a proof state is evaluated.
+
+    `memo` maps (node, *values of the node's free parameters) to the node's
+    value and is consulted in every scope. Contexts may share one memo only
+    while they share `vars`, `window` and `probe`: child scopes do, and a
+    proof run hands one memo to all instances of the same window. `box` is
+    the window as `series.window_box` bounds, computed once per context tree.
+    """
+
     vars: tuple[str, ...]
     window: dict[str, tuple[int, int]]
     probe: int
     env: dict[str, int]
     # value cache for the root environment; inner binder scopes disable it
     cache: dict | None = None
+    memo: dict = field(default_factory=dict)
+    box: tuple | None = None
+
+    def __post_init__(self):
+        if self.box is None:
+            self.box = window_box(self.vars, self.window)
 
     def child(self, var: str, value: int) -> "EvalContext":
         env = dict(self.env)
         env[var] = value
-        return EvalContext(self.vars, self.window, self.probe, env, None)
+        return EvalContext(self.vars, self.window, self.probe, env, None, self.memo, self.box)
+
+
+def free_params(node: RNode) -> tuple[str, ...]:
+    """The sorted names a node's value depends on; cached on the node."""
+    try:
+        return node._free
+    except AttributeError:
+        pass
+    names: set[str] = set()
+    if isinstance(node, RBinom):
+        names.update(node.upper.variables(), node.lower.variables())
+    elif isinstance(node, RPow):
+        names.update(free_params(node.base), node.exponent.variables())
+    elif isinstance(node, RProd):
+        for f in node.factors:
+            names.update(free_params(f))
+    elif isinstance(node, RAdd):
+        for _, t in node.terms:
+            names.update(free_params(t))
+    elif isinstance(node, (RSum, RISum)):
+        names.update(free_params(node.body))
+        names.discard(node.var)
+        bounds = (node.lower, node.upper) if isinstance(node, RSum) else (node.bound,)
+        for b in bounds:
+            names.update(b.variables())
+    elif isinstance(node, (RRes, RGeo)):
+        names.update(free_params(node.body))
+    free = tuple(sorted(names))
+    object.__setattr__(node, "_free", free)  # kept out of pickles, like the hash
+    return free
 
 
 def evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
-    if ctx.cache is None:
-        return _evaluate(node, ctx)
-    hit = ctx.cache.get(node)
+    cache = ctx.cache
+    if cache is not None:
+        hit = cache.get(node)
+        if hit is not None:
+            return hit
+    # one flat tuple: a nested `tuple(map(...))` of values, dropped on every
+    # lookup, kept about 0.5 MB more resident over a run of proof instances
+    key = (node, *map(ctx.env.get, free_params(node)))
+    memo = ctx.memo
+    hit = memo.get(key)
     if hit is None:
         hit = _evaluate(node, ctx)
-        ctx.cache[node] = hit
+        if len(memo) >= MEMO_LIMIT:
+            memo.clear()
+        memo[key] = hit
+    if cache is not None:
+        cache[node] = hit
     return hit
 
 
@@ -256,7 +293,7 @@ def _evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
         value = binomial(node.upper.evaluate(ctx.env), node.lower.evaluate(ctx.env))
         return LaurentSeries.constant(ctx.vars, value)
     if isinstance(node, RPow):
-        return evaluate(node.base, ctx).pow(node.exponent.evaluate(ctx.env), ctx.window)
+        return evaluate(node.base, ctx).pow(node.exponent.evaluate(ctx.env), ctx.box)
     if isinstance(node, RProd):
         return _product(node.factors, ctx)
     if isinstance(node, RAdd):
@@ -292,7 +329,7 @@ def _evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
             return _product(node.body.factors, ctx, node.var)
         return res(evaluate(node.body, ctx), node.var)
     if isinstance(node, RGeo):
-        return geometric_collapse(evaluate(node.body, ctx), ctx.window)
+        return geometric_collapse(evaluate(node.body, ctx), ctx.box)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -301,8 +338,8 @@ def _product(factors, ctx: EvalContext, var: str | None = None) -> LaurentSeries
     multiplication; with `var`, the last multiplication also takes the residue."""
     out = evaluate(factors[0], ctx)
     for f in factors[1:-1]:
-        out = out.__mul__(evaluate(f, ctx), ctx.window)
-    return out.__mul__(evaluate(factors[-1], ctx), ctx.window, var)
+        out = out.__mul__(evaluate(f, ctx), ctx.box)
+    return out.__mul__(evaluate(factors[-1], ctx), ctx.box, var)
 
 
 def _res_of_geo_product(node: RRes, ctx: EvalContext):
@@ -323,7 +360,7 @@ def _res_of_geo_product(node: RRes, ctx: EvalContext):
     ratio = evaluate(geos[0].body, ctx)
     rest = LaurentSeries.constant(ctx.vars, 1)
     for f in rest_nodes:
-        rest = rest.__mul__(evaluate(f, ctx), ctx.window)
+        rest = rest.__mul__(evaluate(f, ctx), ctx.box)
     if rest.is_zero:
         return LaurentSeries.zero(ctx.vars)
     i = ctx.vars.index(node.var)
@@ -342,7 +379,7 @@ def _res_of_geo_product(node: RRes, ctx: EvalContext):
     power = LaurentSeries.constant(ctx.vars, 1)
     for k in range(count + 1):
         if k > 0:
-            power = power.__mul__(ratio, ctx.window)
+            power = power.__mul__(ratio, ctx.box)
         total = total + rest.__mul__(power, var=node.var)
     return total
 

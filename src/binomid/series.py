@@ -86,7 +86,16 @@ def _first_above(step: Bound, bound: Bound, last: int) -> Optional[int]:
     return k if k <= last else None
 
 
-def _box(vars, window: Mapping[str, tuple[int, int]]) -> tuple[tuple[Bound, ...], tuple[Bound, ...]]:
+Window = Union[Mapping[str, tuple[int, int]], tuple[tuple[Bound, ...], tuple[Bound, ...]]]
+
+
+def window_box(vars, window: Window) -> tuple[tuple[Bound, ...], tuple[Bound, ...]]:
+    """The window as (lo, hi) bounds in the order of `vars`, unbounded for a
+    variable it does not name. Every function taking a window also takes
+    this box, which is returned as it is: a caller that uses one window for
+    many operations computes the box once."""
+    if isinstance(window, tuple):
+        return window
     lo = tuple(window[v][0] if v in window else -INF for v in vars)
     hi = tuple(window[v][1] if v in window else INF for v in vars)
     return lo, hi
@@ -250,7 +259,7 @@ class LaurentSeries:
         return LaurentSeries(self.vars, coeffs, move(self.sup_lo), move(self.sup_hi),
                              move(self.acc_lo), move(self.acc_hi), boxed=True)
 
-    def __mul__(self, other: "LaurentSeries", window: Optional[Mapping[str, tuple[int, int]]] = None,
+    def __mul__(self, other: "LaurentSeries", window: Optional[Window] = None,
                 var: Optional[str] = None) -> "LaurentSeries":
         """`res((self * other).clipped(window), var)`, forming only the pairs
         that land in the result; `window` and `var` may each be None."""
@@ -265,7 +274,7 @@ class LaurentSeries:
             hi.append(min(ah + tl if sh > ah else INF, bh + sl if th > bh else INF))
             lo.append(max(al + th if sl < al else -INF, bl + sh if tl < bl else -INF))
         if window is not None:
-            win_lo, win_hi = _box(self.vars, window)
+            win_lo, win_hi = window_box(self.vars, window)
             lo, hi = map(max, lo, win_lo), map(min, hi, win_hi)
         lo, hi = tuple(lo), tuple(hi)
         add, le = operator.add, operator.le
@@ -305,9 +314,9 @@ class LaurentSeries:
                     coeffs[e] = get(e, 0) + c1 * c2
         return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi, boxed=True)
 
-    def clipped(self, window: Mapping[str, tuple[int, int]]) -> "LaurentSeries":
+    def clipped(self, window: Window) -> "LaurentSeries":
         """Restrict accuracy to the window (coefficients outside are dropped)."""
-        lo, hi = _box(self.vars, window)
+        lo, hi = window_box(self.vars, window)
         acc_lo = tuple(max(a, b) for a, b in zip(self.acc_lo, lo))
         acc_hi = tuple(min(a, b) for a, b in zip(self.acc_hi, hi))
         le = operator.le
@@ -317,7 +326,7 @@ class LaurentSeries:
 
     # -- powers ---------------------------------------------------------------
 
-    def pow(self, e: int, window: Optional[Mapping[str, tuple[int, int]]] = None) -> "LaurentSeries":
+    def pow(self, e: int, window: Optional[Window] = None) -> "LaurentSeries":
         """Integer power; negative exponents require an invertible lowest term.
 
         For negative e the series must factor as c*mu*(1 + t) with mu the
@@ -371,7 +380,7 @@ class LaurentSeries:
         shifted window keeps an accuracy floor raised by (depth - 1) * m.
         """
         vars, n = self.vars, len(self.vars)
-        win_lo, win_hi = _box(vars, window)
+        win_lo, win_hi = window_box(vars, window)
         lead = tuple(e * x for x in mu)
         scale = c ** e if e > 0 else _exact(Fraction(c) ** e)
         if m is None:
@@ -444,7 +453,7 @@ class LaurentSeries:
 
     def _unit_pow(self, e: int, window) -> "LaurentSeries":
         c, mu, t = self._unit_factor()
-        win_lo, win_hi = _box(self.vars, window)
+        win_lo, win_hi = window_box(self.vars, window)
         # t has componentwise nonnegative support and no constant term, so
         # t^i has total degree >= i; beyond `depth` nothing lands in-window.
         carriers = [i for i in range(len(self.vars)) if t.sup_hi[i] > 0]
@@ -507,7 +516,7 @@ def res(s: LaurentSeries, var: str) -> LaurentSeries:
 
 def _escape_count(s: LaurentSeries, window) -> int:
     """Smallest K with no monomial of s^k (k > K) inside the window box."""
-    win_lo, win_hi = _box(s.vars, window)
+    win_lo, win_hi = window_box(s.vars, window)
     best = None
     for i in range(len(s.vars)):
         if s.sup_lo[i] >= 1:
@@ -528,7 +537,7 @@ def _escape_count(s: LaurentSeries, window) -> int:
     return best
 
 
-def geometric_collapse(ratio: LaurentSeries, window: Mapping[str, tuple[int, int]]) -> LaurentSeries:
+def geometric_collapse(ratio: LaurentSeries, window: Window) -> LaurentSeries:
     """sum of ratio^k over k >= 0, truncated to the window.
 
     The ratio must have positive valuation in some direction (all powers
@@ -552,7 +561,7 @@ def residue_eval_simple_pole(
     p_exp: int,
     s: LaurentSeries,
     var: str = "x",
-    window: Optional[Mapping[str, tuple[int, int]]] = None,
+    window: Optional[Window] = None,
 ) -> LaurentSeries:
     """Residue of g(x) * x^p_exp / (x - s) at the simple pole x = s.
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binomid.arith import binomial
-from binomid.series import INF, LaurentSeries, NonUnitError, WindowError, _box
+from binomid.series import INF, LaurentSeries, NonUnitError, WindowError, window_box
 
 XYZ = ("x", "y", "z")
 
@@ -56,7 +56,7 @@ def _oracle_unit_factor(s):
 
 def _oracle_unit_pow(s, e, window):
     c, mu, t = _oracle_unit_factor(s)
-    win_lo, win_hi = _box(s.vars, window)
+    win_lo, win_hi = window_box(s.vars, window)
     carriers = [i for i in range(len(s.vars)) if t.sup_hi[i] > 0]
     caps = []
     for i in carriers:
