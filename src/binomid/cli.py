@@ -4,8 +4,8 @@ Subcommands: catalog, verify, fuzz, specialize, prove, check-arith.
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed,
 2 usage or input error (a bad flag value, an unreadable catalog file),
 3 internal error (a bug in binomid, reported with its traceback).
-Reports go to stdout, diagnostics to stderr. The env var BINOMID_CATALOG
-overrides the built-in catalog file.
+Reports go to stdout, diagnostics and a JSON run's `--dump-trace` to stderr.
+The env var BINOMID_CATALOG overrides the built-in catalog file.
 """
 from __future__ import annotations
 
@@ -197,11 +197,12 @@ def _cmd_prove(args, cat: Catalog) -> int:
         instances = script.instances(grid.as_dict())
         trace = None
         if args.dump_trace:
+            out = sys.stderr if args.format == "json" else None  # JSON owns stdout
             def trace(label, series, _name=name):
-                print(f"[{_name}] {label}:")
+                print(f"[{_name}] {label}:", file=out)
                 for e, c in series.items():
                     mono = "*".join(f"{v}^{x}" for v, x in zip(series.vars, e) if x != 0) or "1"
-                    print(f"    {mono}: {c}")
+                    print(f"    {mono}: {c}", file=out)
         report = run_proof_script(script, instances, window=args.window, jobs=args.jobs, trace=trace)
         reports.append(report.to_json_dict())
         steps = " ".join(
@@ -219,17 +220,13 @@ def _cmd_prove(args, cat: Catalog) -> int:
 
 
 def _cmd_check_arith(args, _cat) -> int:
-    suite = run_invariant_suite(args.bound)
-    failed = False
     reports, lines = [], []
-    for name, cases, bad in suite:
-        ok = not bad
-        failed = failed or not ok
+    for name, cases, bad in run_invariant_suite(args.bound):
         reports.append({"invariant": name, "cases": cases, "violations": len(bad)})
-        mark = "ok  " if ok else "FAIL"
+        mark = "FAIL" if bad else "ok  "
         lines.append(f"{mark} {name}: {cases} cases" + (f", first violation {bad[0]}" if bad else ""))
     _emit(reports, args.format, lines)
-    return 1 if failed else 0
+    return 1 if any(r["violations"] for r in reports) else 0
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -298,23 +295,46 @@ _COMMANDS = {
 }
 
 
+class _ReaderSafeStdout:
+    """stdout that drops its output once the reader has closed the pipe, so
+    that `binomid catalog | head -1` exits with the command's own verdict."""
+
+    def __init__(self, stream):
+        self.stream, self.reader_gone = stream, False
+
+    def write(self, text):
+        self._guard(self.stream.write, text)
+
+    def flush(self):
+        self._guard(self.stream.flush)
+
+    def _guard(self, call, *args) -> None:
+        try:
+            if not self.reader_gone:
+                call(*args)
+        except BrokenPipeError:
+            self.reader_gone = True
+            if hasattr(self.stream, "fileno"):  # the final flush then writes to devnull
+                os.dup2(os.open(os.devnull, os.O_WRONLY), self.stream.fileno())
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    stdout = sys.stdout = _ReaderSafeStdout(sys.stdout)
     try:
         _check_counts(args)
-        cat = _load_catalog()
-        return _COMMANDS[args.command](args, cat)
+        return _COMMANDS[args.command](args, _load_catalog())
     except (UsageError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        return 1
     except Exception as exc:
         # a bug must not pass for a failed (or a passed) mathematical check
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        stdout.flush()
+        sys.stdout = stdout.stream
 
 
 if __name__ == "__main__":

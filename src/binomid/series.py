@@ -11,18 +11,18 @@ unknown coefficient raises instead of silently returning 0.
 Truncation is per-variable, not total-degree: the expressions this engine
 exists for mix negative powers of distinct variables with bounded positive
 ranges elsewhere. Coefficients are exact (int or Fraction); Fractions only
-appear when a unit with leading coefficient other than +-1 is inverted.
+appear in negative powers of bases whose leading coefficient is not +-1.
 
-Powers of one- and two-term bases are computed in closed form. An exact base
+One power rule: a negative power exists only in closed form. An exact base
 c*mu*(1 + u*m), with mu the monomial at its support minimum and m >= 0 in
 every variable (m = 0 for a single term), has the coefficient
 c^e * C(e,i) * u^i at mu^e * m^i, for either sign of e. Only the exponents
 inside the result's accuracy box are emitted, and that box is derived from
-the window exactly as repeated multiply-and-clip would narrow it (see
-`_binomial_pow`), so both paths give the same series. Bases with three or
-more terms, or not fully known, go through multiply-and-clip: repeated
-products for e > 0 and the truncated binomial series of the unit part for
-e < 0.
+the window exactly as repeated multiply-and-clip (or, for e < 0, the
+truncated binomial series) would narrow it (see `_binomial_pow`), so every
+path gives the same series. Any other base takes multiply-and-clip for e > 0;
+its negative powers raise NonUnitError. The integral representations only
+invert two-term bases such as (1+z)^(b-d) and monomials.
 
 Every product goes through one kernel, `__mul__(other, window, var)`, which
 returns `res((self * other).clipped(window), var)` without forming the pairs
@@ -60,7 +60,7 @@ class WindowError(Exception):
 
 
 class NonUnitError(Exception):
-    """Attempt to invert a series whose lowest term is not invertible."""
+    """A negative power of a base that is not c*mu*(1 + u*m)."""
 
 
 class DivergentSumError(Exception):
@@ -146,20 +146,15 @@ class LaurentSeries:
             for e in [e for e, c in coeffs.items() if c == 0]:
                 del coeffs[e]
         n = len(self.vars)
-        if self.is_zero:
+        if self.is_zero or (not coeffs and self.is_exact):
             self.sup_lo, self.sup_hi = (INF,) * n, (-INF,) * n
             self.acc_lo, self.acc_hi = (-INF,) * n, (INF,) * n
-            return
-        if self.is_exact:
+        elif self.is_exact:
             # fully known: tighten support to the actual table, widen accuracy
-            if coeffs:
-                columns = list(zip(*coeffs))
-                self.sup_lo = tuple(map(min, columns))
-                self.sup_hi = tuple(map(max, columns))
-                self.acc_lo, self.acc_hi = (-INF,) * n, (INF,) * n
-            else:
-                self.sup_lo, self.sup_hi = (INF,) * n, (-INF,) * n
-                self.acc_lo, self.acc_hi = (-INF,) * n, (INF,) * n
+            columns = list(zip(*coeffs))
+            self.sup_lo = tuple(map(min, columns))
+            self.sup_hi = tuple(map(max, columns))
+            self.acc_lo, self.acc_hi = (-INF,) * n, (INF,) * n
         elif not boxed:
             lo, hi = self.acc_lo, self.acc_hi
             outside = [e for e in coeffs
@@ -249,16 +244,6 @@ class LaurentSeries:
         return LaurentSeries(self.vars, coeffs, self.sup_lo, self.sup_hi, self.acc_lo, self.acc_hi,
                              boxed=True)
 
-    def shifted(self, delta: Mapping[str, int]) -> "LaurentSeries":
-        """Multiply by the monomial with the given exponents."""
-        if self.is_zero:
-            return self
-        d = tuple(delta.get(v, 0) for v in self.vars)
-        coeffs = {tuple(x + y for x, y in zip(e, d)): c for e, c in self.coeffs.items()}
-        move = lambda bounds: tuple(b + x for b, x in zip(bounds, d))
-        return LaurentSeries(self.vars, coeffs, move(self.sup_lo), move(self.sup_hi),
-                             move(self.acc_lo), move(self.acc_hi), boxed=True)
-
     def __mul__(self, other: "LaurentSeries", window: Optional[Window] = None,
                 var: Optional[str] = None) -> "LaurentSeries":
         """`res((self * other).clipped(window), var)`, forming only the pairs
@@ -327,12 +312,11 @@ class LaurentSeries:
     # -- powers ---------------------------------------------------------------
 
     def pow(self, e: int, window: Optional[Window] = None) -> "LaurentSeries":
-        """Integer power; negative exponents require an invertible lowest term.
-
-        For negative e the series must factor as c*mu*(1 + t) with mu the
-        monomial at the support minimum and t supported strictly above 0;
-        the binomial series in t is then truncated against `window`.
-        """
+        """Integer power by the one power rule: 1 for e = 0, the series for
+        e = 1, the closed form of an exact base c*mu*(1 + u*m) for either
+        sign of e, multiply-and-clip to `window` for any other base with
+        e > 0. A negative power needs a window (WindowError) and such a base
+        (NonUnitError)."""
         if e == 0:
             return LaurentSeries.constant(self.vars, 1)
         if e == 1:
@@ -342,12 +326,12 @@ class LaurentSeries:
         base = self._binomial_base()
         if base is not None:
             return self._binomial_pow(e, window or {}, *base)
-        if e > 0:
-            out = self
-            for _ in range(e - 1):
-                out = out.__mul__(self, window)
-            return out
-        return self._unit_pow(e, window)
+        if e < 0:
+            raise NonUnitError("negative power needs a base c*mu*(1 + u*m) with at most two terms")
+        out = self
+        for _ in range(e - 1):
+            out = out.__mul__(self, window)
+        return out
 
     def _binomial_base(self):
         """(c, mu, u, m) when the series is exactly c*mu*(1 + u*m) with m >= 0
@@ -429,61 +413,6 @@ class LaurentSeries:
         coeffs = {tuple(x + i * d for x, d in zip(lead, m)): _exact(scale * binomial(e, i) * u ** i)
                   for i in range(first, last + 1)}
         return LaurentSeries(vars, coeffs, lead, sup_hi, acc_lo, acc_hi, boxed=True)
-
-    def _unit_factor(self):
-        if self.is_zero:
-            raise NonUnitError("cannot invert the zero series")
-        if any(lo == -INF for lo in self.sup_lo):
-            raise NonUnitError("cannot invert: support is unbounded below")
-        mu = tuple(int(lo) for lo in self.sup_lo)
-        if not self._known(mu):
-            raise WindowError("lowest coefficient is outside the accuracy window")
-        c = self.coeffs.get(mu, 0)
-        if c == 0:
-            raise NonUnitError("cannot invert: lowest term has zero coefficient")
-        inv_c = Fraction(1, 1) / Fraction(c)
-        inv_c = int(inv_c) if inv_c.denominator == 1 else inv_c
-        t = self.shifted({v: -m for v, m in zip(self.vars, mu)}).scaled(inv_c)
-        t = t + LaurentSeries.constant(self.vars, -1)
-        if any(lo < 0 for lo in t.sup_lo):
-            raise NonUnitError("cannot invert: support minimum is not a single monomial")
-        if not t._known(tuple(0 for _ in self.vars)):
-            raise WindowError("cannot certify the unit: constant term unknown")
-        return c, mu, t
-
-    def _unit_pow(self, e: int, window) -> "LaurentSeries":
-        c, mu, t = self._unit_factor()
-        win_lo, win_hi = window_box(self.vars, window)
-        # t has componentwise nonnegative support and no constant term, so
-        # t^i has total degree >= i; beyond `depth` nothing lands in-window.
-        carriers = [i for i in range(len(self.vars)) if t.sup_hi[i] > 0]
-        caps = []
-        for i in carriers:
-            cap = win_hi[i] - e * mu[i]
-            if cap == INF:
-                raise WindowError(f"negative power needs a finite window for '{self.vars[i]}'")
-            caps.append(max(int(cap), 0))
-        if len(carriers) == 1:
-            step = max(int(t.sup_lo[carriers[0]]), 1)
-            depth = caps[0] // step + 1
-        else:
-            depth = sum(caps) + 1
-        shifted_window = {v: (win_lo[i] - e * mu[i], win_hi[i] - e * mu[i])
-                          for i, v in enumerate(self.vars)}
-        total = LaurentSeries.constant(self.vars, 1)
-        power = LaurentSeries.constant(self.vars, 1)
-        for i in range(1, depth + 1):
-            power = power.__mul__(t, shifted_window)
-            total = total + power.scaled(binomial(e, i))
-        scale = Fraction(c) ** e
-        scale = int(scale) if scale.denominator == 1 else scale
-        total = total.scaled(scale).shifted({v: e * m for v, m in zip(self.vars, mu)})
-        total = total.clipped(window)
-        # the partial sum is only a window-accurate stand-in for the true
-        # series, whose support is unbounded in every variable t touches
-        sup_lo = tuple(e * m for m in mu)
-        sup_hi = tuple(e * m if t.sup_hi[i] <= 0 else INF for i, m in enumerate(mu))
-        return LaurentSeries(self.vars, total.coeffs, sup_lo, sup_hi, total.acc_lo, total.acc_hi)
 
 
 # ---------------------------------------------------------------------------

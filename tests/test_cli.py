@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from binomid.catalog import load_builtin
 from binomid.cli import main
+from binomid.resexpr import parse_resexpr
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +122,46 @@ def test_prove_dump_trace(capsys):
     )
     assert code == 0
     assert "step 0 before" in out
+
+
+def test_prove_dump_trace_keeps_json_stdout_parsable(capsys):
+    code, out, err = run_cli(
+        capsys, "prove", "--script", "proof-eq1", "--range", "*=0..0", "--dump-trace",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["script"] == "proof-eq1"
+    assert "step 0 before" in err
+
+
+def test_closed_reader_leaves_the_verdict(monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["catalog"]) == 0
+
+
+def test_negative_power_of_three_terms_fails_its_own_step(capsys, monkeypatch):
+    cat = load_builtin()
+    script = cat.scripts["proof-eq1"]
+    steps = list(script.steps)
+    text = "(1+x+y)^(-1)"
+    steps[1] = dataclasses.replace(steps[1], after_text=text, after=parse_resexpr(text))
+    scripts = {**cat.scripts, script.name: dataclasses.replace(script, steps=tuple(steps))}
+    monkeypatch.setattr("binomid.cli.load_builtin",
+                        lambda: dataclasses.replace(cat, scripts=scripts))
+    code, out, _ = run_cli(capsys, "prove", "--script", "proof-eq1", "--range", "*=0..0",
+                           "--format", "json")
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert failures and all(f["step"] == 1 for f in failures)
+    assert all(f["message"].startswith("NonUnitError: negative power needs a base")
+               for f in failures)
 
 
 def test_fuzz_deterministic_output(capsys):

@@ -1,10 +1,13 @@
 """The closed-form power of one- and two-term bases against multiply-and-clip.
 
-`oracle_pow` is the engine's general power algorithm, applied to every base:
-repeated products clipped to the window for e > 0, and for e < 0 the
-truncated binomial series of the unit part, built one clipped product per
-term. The closed form must give the same series: the same coefficient table
-and the same support and accuracy boxes, and the same errors.
+`oracle_pow` is the general power algorithm, kept as the oracle; it applies
+to every base: repeated products clipped to the window for e > 0, and for
+e < 0 the truncated binomial series of the unit part of any invertible base,
+built one clipped product per term. The closed form must give the same
+series: the same coefficient table and the same support and accuracy boxes,
+and the same errors. A negative power of a base outside the closed form's
+domain is a NonUnitError in the engine, as the oracle finds for the bases
+drawn here.
 """
 from fractions import Fraction
 
@@ -32,6 +35,17 @@ def oracle_pow(s, e, window=None):
     return _oracle_unit_pow(s, e, window)
 
 
+def shifted(s, delta):
+    """s times the monomial with the exponents `delta`."""
+    if s.is_zero:
+        return s
+    d = tuple(delta.get(v, 0) for v in s.vars)
+    coeffs = {tuple(x + y for x, y in zip(e, d)): c for e, c in s.coeffs.items()}
+    move = lambda bounds: tuple(b + x for b, x in zip(bounds, d))
+    return LaurentSeries(s.vars, coeffs, move(s.sup_lo), move(s.sup_hi),
+                         move(s.acc_lo), move(s.acc_hi), boxed=True)
+
+
 def _oracle_unit_factor(s):
     if s.is_zero:
         raise NonUnitError("cannot invert the zero series")
@@ -45,7 +59,7 @@ def _oracle_unit_factor(s):
         raise NonUnitError("cannot invert: lowest term has zero coefficient")
     inv_c = Fraction(1, 1) / Fraction(c)
     inv_c = int(inv_c) if inv_c.denominator == 1 else inv_c
-    t = s.shifted({v: -m for v, m in zip(s.vars, mu)}).scaled(inv_c)
+    t = shifted(s, {v: -m for v, m in zip(s.vars, mu)}).scaled(inv_c)
     t = t + LaurentSeries.constant(s.vars, -1)
     if any(lo < 0 for lo in t.sup_lo):
         raise NonUnitError("cannot invert: support minimum is not a single monomial")
@@ -77,7 +91,7 @@ def _oracle_unit_pow(s, e, window):
         total = total + power.scaled(binomial(e, i))
     scale = Fraction(c) ** e
     scale = int(scale) if scale.denominator == 1 else scale
-    total = total.scaled(scale).shifted({v: e * m for v, m in zip(s.vars, mu)})
+    total = shifted(total.scaled(scale), {v: e * m for v, m in zip(s.vars, mu)})
     total = total.clipped(window)
     sup_lo = tuple(e * m for m in mu)
     sup_hi = tuple(e * m if t.sup_hi[i] <= 0 else INF for i, m in enumerate(mu))

@@ -16,7 +16,7 @@ from binomid.resexpr import series_expand
 from binomid.series import INF, EngineError, LaurentSeries, WindowError, res
 
 from test_series import XYZ, products_of_powers
-from test_series_pow import assert_same_series, windows
+from test_series_pow import assert_same_series, shifted, windows
 
 
 def oracle_mul(a, b):
@@ -77,7 +77,7 @@ def operands(draw):
         return LaurentSeries.zero(XYZ)
     w = draw(st.integers(2, 3))
     s = series_expand(draw(products_of_powers()), {v: (-w, w) for v in XYZ})
-    s = s.shifted(dict(zip(XYZ, draw(st.tuples(*[st.integers(-3, 1)] * len(XYZ))))))
+    s = shifted(s, dict(zip(XYZ, draw(st.tuples(*[st.integers(-3, 1)] * len(XYZ))))))
     if kind == "clipped":
         return s.clipped(draw(windows()) or {})
     if kind == "missed":
