@@ -295,9 +295,9 @@ _COMMANDS = {
 }
 
 
-class _ReaderSafeStdout:
-    """stdout that drops its output once the reader has closed the pipe, so
-    that `binomid catalog | head -1` exits with the command's own verdict."""
+class _ReaderSafeStream:
+    """stdout or stderr that drops its output once the reader has closed the
+    pipe, so that `binomid catalog | head -1` exits with its own verdict."""
 
     def __init__(self, stream):
         self.stream, self.reader_gone = stream, False
@@ -320,7 +320,8 @@ class _ReaderSafeStdout:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    stdout = sys.stdout = _ReaderSafeStdout(sys.stdout)
+    stdout = sys.stdout = _ReaderSafeStream(sys.stdout)
+    stderr = sys.stderr = _ReaderSafeStream(sys.stderr)
     try:
         _check_counts(args)
         return _COMMANDS[args.command](args, _load_catalog())
@@ -333,8 +334,9 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     finally:
-        stdout.flush()
-        sys.stdout = stdout.stream
+        for guard in (stdout, stderr):
+            guard.flush()
+        sys.stdout, sys.stderr = stdout.stream, stderr.stream
 
 
 if __name__ == "__main__":

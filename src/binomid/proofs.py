@@ -15,6 +15,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Optional
 
 from .dsl import parse_linexpr, parse_term
@@ -83,8 +84,11 @@ class ProofScript:
     steps: tuple[ProofStep, ...]
     budget_hint: LinExpr
 
-    def alias_map(self) -> dict[str, LinExpr]:
-        return dict(self.aliases)
+    @cached_property
+    def recognitions(self) -> tuple:
+        """Per step, `_recognition` of a Recognize step, else None; computed on
+        first use, so a script made by `dataclasses.replace` computes its own."""
+        return tuple(_recognition(self, s) if s.kind == "Recognize" else None for s in self.steps)
 
     def instance_env(self, env: Mapping[str, int]) -> dict[str, int]:
         full = {p: env[p] for p in self.params}
@@ -193,7 +197,7 @@ def _check_step_in_context(
 ) -> StepResult:
     step = script.steps[index]
     if step.kind == "Recognize":
-        return _check_recognize(script, step, ctx)
+        return _check_recognize(script, index, ctx)
     try:
         before = evaluate(step.before, ctx)
         if trace:
@@ -219,19 +223,20 @@ def _check_step_in_context(
     return StepResult(True)
 
 
-def _check_recognize(script: ProofScript, step: ProofStep, ctx: EvalContext) -> StepResult:
-    aliases = script.alias_map()
+def _recognition(script: ProofScript, step: ProofStep):
+    """The instance-free half of a Recognize check: a failure message, or the
+    substituted target and its rhs times the carried multiplier."""
     try:
-        carried, final_sum = split_carried_sum(step.before, aliases)
+        carried, final_sum = split_carried_sum(step.before, dict(script.aliases))
     except ValueError as exc:
-        return StepResult(False, f"unrecognizable final state: {exc}")
+        return f"unrecognizable final state: {exc}"
     if canonicalize_term(carried) != canonicalize_term(script.carried):
-        return StepResult(False, "carried multiplier does not match the script's")
+        return "carried multiplier does not match the script's"
 
     mapping = dict(step.mapping)
     missing = [p for p in script.target.params if p not in mapping]
     if missing:
-        return StepResult(False, f"recognition map misses {missing}")
+        return f"recognition map misses {missing}"
     sub = Substitution.of(mapping, script.params)
     specialized = substitute(script.target, sub, f"{script.target.name}-instance")
 
@@ -240,10 +245,20 @@ def _check_recognize(script: ProofScript, step: ProofStep, ctx: EvalContext) -> 
     got_ident = Identity("state", script.params, final_sum, Term(None, ()))
     got = canonicalize(got_ident).lhs
     if got != want:
-        return StepResult(False, f"final sum is not the substituted {script.target.name} lhs")
+        return f"final sum is not the substituted {script.target.name} lhs"
+    return specialized, Term(None, specialized.rhs.factors + script.carried.factors)
 
+
+def _check_recognize(script: ProofScript, index: int, ctx: EvalContext) -> StepResult:
+    """Check a Recognize step at one instance. The split of the final state,
+    the carried-multiplier and map checks, the substituted and canonicalized
+    target and its rhs product are cached once per ProofScript object
+    (`ProofScript.recognitions`); only the numeric checks run per instance."""
+    prepared = script.recognitions[index]
+    if isinstance(prepared, str):
+        return StepResult(False, prepared)
+    specialized, product = prepared
     # (ii) substituted closed form times carried multiplier gives the subject rhs
-    product = Term(None, specialized.rhs.factors + script.carried.factors)
     if eval_side(product, ctx.env) != eval_side(script.subject.rhs, ctx.env):
         return StepResult(False, "substituted rhs times carried multiplier != subject rhs")
 

@@ -6,7 +6,9 @@ region in which stored coefficients equal those of the untruncated
 expression). A coefficient is *known* when its exponent vector lies inside
 the accuracy box, or outside the support box (then it is zero). Arithmetic
 narrows accuracy exactly as far as soundness demands; any query for an
-unknown coefficient raises instead of silently returning 0.
+unknown coefficient raises instead of silently returning 0. `is_exact`
+(accuracy covers support) and `is_zero` (no table, support empty in every
+variable) are computed once, when a series is built, and stored.
 
 Truncation is per-variable, not total-degree: the expressions this engine
 exists for mix negative powers of distinct variables with bounded positive
@@ -30,7 +32,10 @@ that the clip or the residue would drop; `a * b` is the call without window
 or residue. Its boxes come from the product's formulas intersected with the
 window, and each left row is tested once against bounds on the right table:
 a row wholly inside the box skips the per-pair test. With `var`, only pairs
-landing on var^-1 are formed. Skipping pairs cannot change a box:
+landing on var^-1 are formed. When one factor is an exact single term c*mu
+(most factors in a proof state: monomials, binomial constants), the kernel
+shifts the other table by mu and scales it by c (`_times_term`), with the
+same boxes, filter and errors as the pair loop. Skipping pairs cannot change a box:
 normalization reads the table only to tighten the support of an exact
 series, and a product of exact series already has the tight support sup(a) +
 sup(b), since Laurent polynomials over Q have no zero divisors; a product
@@ -102,7 +107,7 @@ def window_box(vars, window: Window) -> tuple[tuple[Bound, ...], tuple[Bound, ..
 
 
 class LaurentSeries:
-    __slots__ = ("vars", "coeffs", "sup_lo", "sup_hi", "acc_lo", "acc_hi")
+    __slots__ = ("vars", "coeffs", "sup_lo", "sup_hi", "acc_lo", "acc_hi", "is_exact", "is_zero")
 
     def __init__(self, vars, coeffs, sup_lo, sup_hi, acc_lo, acc_hi, boxed=False):
         """`boxed` promises that every coefficient already lies inside the
@@ -141,35 +146,34 @@ class LaurentSeries:
     # -- invariants ----------------------------------------------------------
 
     def _normalize(self, boxed: bool = False) -> None:
+        """Drop zero and unknown coefficients; store `is_exact` and `is_zero`."""
         coeffs = self.coeffs
         if 0 in coeffs.values():
             for e in [e for e, c in coeffs.items() if c == 0]:
                 del coeffs[e]
         n = len(self.vars)
-        if self.is_zero or (not coeffs and self.is_exact):
+        le = operator.le
+        exact = all(map(le, self.acc_lo, self.sup_lo)) and all(map(le, self.sup_hi, self.acc_hi))
+        if not coeffs and (exact or all(map(operator.gt, self.sup_lo, self.sup_hi))):
             self.sup_lo, self.sup_hi = (INF,) * n, (-INF,) * n
             self.acc_lo, self.acc_hi = (-INF,) * n, (INF,) * n
-        elif self.is_exact:
+            exact = True
+        elif exact:
             # fully known: tighten support to the actual table, widen accuracy
-            columns = list(zip(*coeffs))
-            self.sup_lo = tuple(map(min, columns))
-            self.sup_hi = tuple(map(max, columns))
+            if len(coeffs) == 1:
+                self.sup_lo = self.sup_hi = next(iter(coeffs))
+            else:
+                columns = list(zip(*coeffs))
+                self.sup_lo = tuple(map(min, columns))
+                self.sup_hi = tuple(map(max, columns))
             self.acc_lo, self.acc_hi = (-INF,) * n, (INF,) * n
         elif not boxed:
             lo, hi = self.acc_lo, self.acc_hi
-            outside = [e for e in coeffs
-                       if not (all(map(operator.le, lo, e)) and all(map(operator.le, e, hi)))]
+            outside = [e for e in coeffs if not (all(map(le, lo, e)) and all(map(le, e, hi)))]
             for e in outside:
                 del coeffs[e]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs and all(lo > hi for lo, hi in zip(self.sup_lo, self.sup_hi))
-
-    @property
-    def is_exact(self) -> bool:
-        return (all(map(operator.le, self.acc_lo, self.sup_lo))
-                and all(map(operator.le, self.sup_hi, self.acc_hi)))
+        self.is_exact = exact
+        self.is_zero = not coeffs and all(map(operator.gt, self.sup_lo, self.sup_hi))
 
     def _var_index(self, var: str) -> int:
         try:
@@ -225,10 +229,10 @@ class LaurentSeries:
         coeffs = dict(self.coeffs)
         for e, c in other.coeffs.items():
             coeffs[e] = coeffs.get(e, 0) + c
-        sup_lo = tuple(min(a, b) for a, b in zip(self.sup_lo, other.sup_lo))
-        sup_hi = tuple(max(a, b) for a, b in zip(self.sup_hi, other.sup_hi))
-        acc_lo = tuple(max(a, b) for a, b in zip(self.acc_lo, other.acc_lo))
-        acc_hi = tuple(min(a, b) for a, b in zip(self.acc_hi, other.acc_hi))
+        sup_lo = tuple(map(min, self.sup_lo, other.sup_lo))
+        sup_hi = tuple(map(max, self.sup_hi, other.sup_hi))
+        acc_lo = tuple(map(max, self.acc_lo, other.acc_lo))
+        acc_hi = tuple(map(min, self.acc_hi, other.acc_hi))
         return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, acc_lo, acc_hi)
 
     def __neg__(self) -> "LaurentSeries":
@@ -252,6 +256,10 @@ class LaurentSeries:
         i = None if var is None else self._var_index(var)
         if self.is_zero or other.is_zero:
             return self if self.is_zero else other
+        if len(other.coeffs) == 1 and other.is_exact:
+            return self._times_term(other, window, i)
+        if len(self.coeffs) == 1 and self.is_exact:
+            return other._times_term(self, window, i)
         # a factor not fully known on one side bounds the product's accuracy there
         lo, hi = [], []
         for sl, sh, al, ah, tl, th, bl, bh in zip(self.sup_lo, self.sup_hi, self.acc_lo, self.acc_hi,
@@ -271,18 +279,14 @@ class LaurentSeries:
         if i is None:
             rows = {None: list(other.coeffs.items())}
         else:
-            # what `res` asks of the clipped product, whose support box is
-            # sup_lo..sup_hi and whose accuracy box is lo..hi or covers it
-            if -1 < sup_lo[i] or -1 > sup_hi[i]:
+            boxes = _residue_boxes(self.vars, i, sup_lo, sup_hi, lo, hi)
+            if boxes is None:
                 return LaurentSeries.zero(self.vars)
-            if not (lo[i] <= -1 <= hi[i]):
-                raise WindowError(f"residue in '{var}': exponent -1 is outside the accuracy window")
-            fix = lambda t, v: t[:i] + (v,) + t[i + 1 :]
-            sup_lo, sup_hi, lo, hi = fix(sup_lo, 0), fix(sup_hi, 0), fix(lo, -INF), fix(hi, INF)
+            sup_lo, sup_hi, lo, hi = boxes
             # a pair lands on var^-1 exactly when e2[var] = -1 - e1[var]
             rows = {}
             for e2, c2 in other.coeffs.items():
-                rows.setdefault(-1 - e2[i], []).append((fix(e2, 0), c2))
+                rows.setdefault(-1 - e2[i], []).append((e2[:i] + (0,) + e2[i + 1 :], c2))
         coeffs: dict[Expo, Number] = {}
         get = coeffs.get
         for e1, c1 in self.coeffs.items():
@@ -290,7 +294,7 @@ class LaurentSeries:
             if not row:
                 continue
             if i is not None:
-                e1 = fix(e1, 0)
+                e1 = e1[:i] + (0,) + e1[i + 1 :]
             inside = (all(map(le, lo, map(add, e1, right_lo)))
                       and all(map(le, map(add, e1, right_hi), hi)))
             for e2, c2 in row:
@@ -299,11 +303,41 @@ class LaurentSeries:
                     coeffs[e] = get(e, 0) + c1 * c2
         return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi, boxed=True)
 
+    def _times_term(self, term: "LaurentSeries", window: Optional[Window], i: Optional[int]):
+        """`__mul__` by an exact single term c*mu: this table shifted by mu
+        and scaled by c, in the boxes the pair loop gives."""
+        ((mu, c),) = term.coeffs.items()
+        add, le = operator.add, operator.le
+        sup_lo, sup_hi = tuple(map(add, self.sup_lo, mu)), tuple(map(add, self.sup_hi, mu))
+        lo, hi = window_box(self.vars, window or {})
+        # the table lies inside both of its boxes: shifted, only the window cuts it
+        if self.is_exact:
+            inside = all(map(le, lo, sup_lo)) and all(map(le, sup_hi, hi))
+        else:
+            lo = tuple(max(w, al + m if sl < al else -INF)
+                       for w, sl, al, m in zip(lo, self.sup_lo, self.acc_lo, mu))
+            hi = tuple(min(w, ah + m if sh > ah else INF)
+                       for w, sh, ah, m in zip(hi, self.sup_hi, self.acc_hi, mu))
+            inside = (all(map(le, lo, map(add, mu, map(max, self.sup_lo, self.acc_lo))))
+                      and all(map(le, map(add, mu, map(min, self.sup_hi, self.acc_hi)), hi)))
+        items = self.coeffs.items()
+        if i is not None:
+            boxes = _residue_boxes(self.vars, i, sup_lo, sup_hi, lo, hi)
+            if boxes is None:
+                return LaurentSeries.zero(self.vars)
+            sup_lo, sup_hi, lo, hi = boxes
+            items = [(e[:i] + (-mu[i],) + e[i + 1 :], c2) for e, c2 in items if e[i] == -1 - mu[i]]
+        coeffs = {}
+        for e2, c2 in items:
+            e = tuple(map(add, e2, mu))
+            if inside or (all(map(le, lo, e)) and all(map(le, e, hi))):
+                coeffs[e] = c2 * c
+        return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi, boxed=True)
+
     def clipped(self, window: Window) -> "LaurentSeries":
         """Restrict accuracy to the window (coefficients outside are dropped)."""
         lo, hi = window_box(self.vars, window)
-        acc_lo = tuple(max(a, b) for a, b in zip(self.acc_lo, lo))
-        acc_hi = tuple(min(a, b) for a, b in zip(self.acc_hi, hi))
+        acc_lo, acc_hi = tuple(map(max, self.acc_lo, lo)), tuple(map(min, self.acc_hi, hi))
         le = operator.le
         coeffs = {e: c for e, c in self.coeffs.items()
                   if all(map(le, acc_lo, e)) and all(map(le, e, acc_hi))}
@@ -410,8 +444,11 @@ class LaurentSeries:
                     first = max(first, -((x - lo) // d))
                 if hi != INF:
                     last = (hi - x) // d if last is None else min(last, (hi - x) // d)
-        coeffs = {tuple(x + i * d for x, d in zip(lead, m)): _exact(scale * binomial(e, i) * u ** i)
-                  for i in range(first, last + 1)}
+        coeffs, b, power = {}, binomial(e, first), u ** first
+        exp = tuple(x + first * d for x, d in zip(lead, m))
+        for i in range(first, last + 1):  # C(e,i) and u^i by recurrence
+            coeffs[exp] = _exact(scale * b * power)
+            b, power, exp = b * (e - i) // (i + 1), power * u, tuple(map(operator.add, exp, m))
         return LaurentSeries(vars, coeffs, lead, sup_hi, acc_lo, acc_hi, boxed=True)
 
 
@@ -426,17 +463,22 @@ def res(s: LaurentSeries, var: str) -> LaurentSeries:
     the -1 plane is not fully inside the accuracy window.
     """
     i = s._var_index(var)
-    if -1 < s.sup_lo[i] or -1 > s.sup_hi[i]:
+    boxes = _residue_boxes(s.vars, i, s.sup_lo, s.sup_hi, s.acc_lo, s.acc_hi)
+    if boxes is None:
         return LaurentSeries.zero(s.vars)
-    if not (s.acc_lo[i] <= -1 <= s.acc_hi[i]):
-        raise WindowError(f"residue in '{var}': exponent -1 is outside the accuracy window")
-    coeffs = {}
-    for e, c in s.coeffs.items():
-        if e[i] == -1:
-            coeffs[e[:i] + (0,) + e[i + 1 :]] = c
+    coeffs = {e[:i] + (0,) + e[i + 1 :]: c for e, c in s.coeffs.items() if e[i] == -1}
+    return LaurentSeries(s.vars, coeffs, *boxes, boxed=True)
+
+
+def _residue_boxes(vars, i: int, sup_lo, sup_hi, acc_lo, acc_hi):
+    """The boxes of the residue in variable i of a series with these boxes;
+    None if -1 is outside the support, WindowError if outside the accuracy."""
+    if -1 < sup_lo[i] or -1 > sup_hi[i]:
+        return None
+    if not (acc_lo[i] <= -1 <= acc_hi[i]):
+        raise WindowError(f"residue in '{vars[i]}': exponent -1 is outside the accuracy window")
     fix = lambda t, v: t[:i] + (v,) + t[i + 1 :]
-    return LaurentSeries(s.vars, coeffs, fix(s.sup_lo, 0), fix(s.sup_hi, 0),
-                         fix(s.acc_lo, -INF), fix(s.acc_hi, INF), boxed=True)
+    return fix(sup_lo, 0), fix(sup_hi, 0), fix(acc_lo, -INF), fix(acc_hi, INF)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,21 @@ def test_closed_reader_leaves_the_verdict(monkeypatch):
     assert main(["catalog"]) == 0
 
 
+def test_closed_trace_reader_leaves_the_verdict(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stderr", ClosedPipe())
+    code = main(["prove", "--script", "proof-eq1", "--range", "*=0..1", "--dump-trace",
+                 "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == []
+
+
 def test_negative_power_of_three_terms_fails_its_own_step(capsys, monkeypatch):
     cat = load_builtin()
     script = cat.scripts["proof-eq1"]

@@ -5,7 +5,7 @@ report, in catalog order. Any change to what the evaluator, the claim
 certification or the series engine reports shows up here. The `fuzz` digest
 covers seeded samples of every identity over -5..5, where arguments go
 negative and many points are inadmissible (exploratory failures). The `prove`
-digests cover both scripts on small grids at two windows, and the report of
+digests cover both scripts on small grids at three windows, and the report of
 every single-step mutation made by `test_proofs.mutate_step` at the all-2
 instance, whose failure messages carry the first differing coefficients.
 """
@@ -23,6 +23,7 @@ SPECIALIZE_ALL_SHA256 = "1ff8edbad3f40ac181c4aefae3923e1481b85d758f691f4937384fa
 FUZZ_SHA256 = "6ac3a11b0c91c5b115853dd6b07d2feb145db1659fc7b3e941e3685eedd9b09c"
 PROVE_0_2_WINDOW_2_SHA256 = "78e4dae78d76d932c620fdc7d66f1203722c33210b59c21da41bcf14174a63f0"
 PROVE_0_1_WINDOW_0_SHA256 = "81eb87a67d976126bb86fb2b8423b2d1eee442d0369e1298174170ef614ff356"
+PROVE_0_1_WINDOW_4_SHA256 = "5ef72b6687eec754919dd7b8b96f97a9118e04730af3637acad694364cddb404"
 PROVE_MUTATIONS_SHA256 = "9687ecb069599c9ff34d7dd0043a9868dd728cc459a64740135f414297fd304e"
 
 
@@ -64,6 +65,7 @@ def _prove_all(catalog, hi, window):
 def test_prove_reports_are_pinned(catalog):
     assert _digest(_prove_all(catalog, 2, 2)) == PROVE_0_2_WINDOW_2_SHA256
     assert _digest(_prove_all(catalog, 1, 0)) == PROVE_0_1_WINDOW_0_SHA256
+    assert _digest(_prove_all(catalog, 1, 4)) == PROVE_0_1_WINDOW_4_SHA256
 
 
 def test_prove_mutation_reports_are_pinned(catalog):

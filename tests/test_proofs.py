@@ -278,3 +278,34 @@ def test_internal_value_error_is_not_a_failed_step(catalog, monkeypatch):
     script = catalog.script("proof-eq1")
     with pytest.raises(ValueError, match="internal bug"):
         check_step(script, 1, {p: 2 for p in script.params}, window=2)
+
+
+def test_recognize_substitutes_the_target_once_per_script(catalog, monkeypatch):
+    from binomid import proofs
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return substitute(*args, **kwargs)
+
+    substitute = proofs.substitute
+    monkeypatch.setattr(proofs, "substitute", counted)
+    script = dataclasses.replace(catalog.script("proof-eq1"))  # a fresh object, nothing cached
+    envs = small_instances(script, hi=1)[:10]
+    assert len(envs) == 10
+    report = run_proof_script(script, envs, window=2)
+    assert report.ok and report.step_passes[-1] == 10
+    assert calls == [script.target.name]
+
+
+@pytest.mark.parametrize("script_name", ["proof-eq1", "proof-eq2"])
+def test_replaced_recognition_map_is_checked_afresh(catalog, script_name):
+    script = catalog.script(script_name)
+    env = {p: 2 for p in script.params}
+    assert run_proof_script(script, [env], window=2).ok  # the original's Recognize half is cached
+    last = len(script.steps) - 1
+    report = run_proof_script(mutate_step(script, last), [env], window=2)
+    assert [(f.step, f.kind, f.message) for f in report.failures] == [
+        (last, "Recognize", "final sum is not the substituted chu2gen lhs")
+    ]
