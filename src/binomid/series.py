@@ -39,10 +39,19 @@ same boxes, filter and errors as the pair loop. Skipping pairs cannot change a b
 normalization reads the table only to tighten the support of an exact
 series, and a product of exact series already has the tight support sup(a) +
 sup(b), since Laurent polynomials over Q have no zero divisors; a product
-with an inexact factor is inexact.
+with an inexact factor is inexact. The per-coefficient loops, pairs and
+shift, are generated once per variable count on first use (`_kernel_code`):
+exponents are unpacked into locals and the box is tested with chained
+comparisons.
+
+No operation changes a series it is given; results are shared freely (the
+proof evaluator's memo holds them across scopes). The series 0 and 1 are
+built once per variable tuple: `zero`, `constant` of 0 or of the int 1,
+`pow(0)` and a monomial with coefficient 0 return the same object.
 """
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -106,6 +115,65 @@ def window_box(vars, window: Window) -> tuple[tuple[Bound, ...], tuple[Bound, ..
     return lo, hi
 
 
+@functools.lru_cache(maxsize=32)
+def _kernel_code(n: int):
+    """The product kernel's loops for n variables, `pairs` and `shift`,
+    generated and compiled on first use for each n.
+
+    `pairs(left, rows, i, lo, hi, right_lo, right_hi)` multiplies each left
+    term by its row of right terms (rows[None], or rows[e1[i]] with the i-th
+    exponent zeroed) and keeps the products inside [lo, hi]; a row whose
+    every product lies inside (by the right table's bounds) skips the test.
+    `shift(items, mu, c, lo, hi, inside)` moves a table by mu and scales it
+    by c, keeping the terms inside [lo, hi] unless `inside`. Exponents are
+    unpacked into locals and the box is tested with chained comparisons.
+    """
+    k = range(n)
+    unpack = lambda p: "[" + ", ".join(f"{p}{j}" for j in k) + "]"
+    expo = lambda terms: "(" + ", ".join(terms) + ("," if n == 1 else "") + ")"
+    all_of = lambda tests: " and ".join(tests) or "True"
+    in_box = all_of(f"lo{j} <= (s{j} := a{j} + b{j}) <= hi{j}" for j in k)
+    row_inside = all_of(f"lo{j} <= a{j} + rl{j} and a{j} + rh{j} <= hi{j}" for j in k)
+    added = expo([f"a{j} + b{j}" for j in k])
+    sums = expo([f"s{j}" for j in k])
+    source = "\n".join([
+        "def pairs(left, rows, i, lo, hi, right_lo, right_hi):",
+        f"    {unpack('lo')} = lo",
+        f"    {unpack('hi')} = hi",
+        f"    {unpack('rl')} = right_lo",
+        f"    {unpack('rh')} = right_hi",
+        "    coeffs = {}",
+        "    get = coeffs.get",
+        "    for e1, c1 in left:",
+        "        row = rows.get(None if i is None else e1[i])",
+        "        if not row:",
+        "            continue",
+        f"        {unpack('a')} = e1 if i is None else e1[:i] + (0,) + e1[i + 1 :]",
+        f"        if {row_inside}:",
+        f"            for {unpack('b')}, c2 in row:",
+        f"                e = {added}",
+        "                coeffs[e] = get(e, 0) + c1 * c2",
+        "        else:",
+        f"            for {unpack('b')}, c2 in row:",
+        f"                if {in_box}:",
+        f"                    e = {sums}",
+        "                    coeffs[e] = get(e, 0) + c1 * c2",
+        "    return coeffs",
+        "",
+        "",
+        "def shift(items, mu, c, lo, hi, inside):",
+        f"    {unpack('a')} = mu",
+        "    if inside:",
+        f"        return {{{added}: c2 * c for {unpack('b')}, c2 in items}}",
+        f"    {unpack('lo')} = lo",
+        f"    {unpack('hi')} = hi",
+        f"    return {{{sums}: c2 * c for {unpack('b')}, c2 in items if {in_box}}}",
+    ]) + "\n"
+    namespace = {}
+    exec(compile(source, f"<binomid product kernel, {n} variables>", "exec"), namespace)
+    return namespace["pairs"], namespace["shift"]
+
+
 class LaurentSeries:
     __slots__ = ("vars", "coeffs", "sup_lo", "sup_hi", "acc_lo", "acc_hi", "is_exact", "is_zero")
 
@@ -124,11 +192,13 @@ class LaurentSeries:
 
     @staticmethod
     def zero(vars) -> "LaurentSeries":
-        n = len(vars)
-        return LaurentSeries(vars, {}, (INF,) * n, (-INF,) * n, (-INF,) * n, (INF,) * n)
+        return _shared_constant(tuple(vars), 0)
 
     @staticmethod
     def constant(vars, value) -> "LaurentSeries":
+        """The constant series; the constants 0 and 1 are shared."""
+        if type(value) is int and value in (0, 1):
+            return _shared_constant(tuple(vars), value)
         return LaurentSeries.monomial(vars, {}, value)
 
     @staticmethod
@@ -270,14 +340,14 @@ class LaurentSeries:
             win_lo, win_hi = window_box(self.vars, window)
             lo, hi = map(max, lo, win_lo), map(min, hi, win_hi)
         lo, hi = tuple(lo), tuple(hi)
-        add, le = operator.add, operator.le
+        add = operator.add
         sup_lo = tuple(map(add, self.sup_lo, other.sup_lo))
         sup_hi = tuple(map(add, self.sup_hi, other.sup_hi))
         # the right table lies inside both of its boxes
         right_lo = tuple(map(max, other.sup_lo, other.acc_lo))
         right_hi = tuple(map(min, other.sup_hi, other.acc_hi))
         if i is None:
-            rows = {None: list(other.coeffs.items())}
+            rows = {None: other.coeffs.items()}
         else:
             boxes = _residue_boxes(self.vars, i, sup_lo, sup_hi, lo, hi)
             if boxes is None:
@@ -287,20 +357,8 @@ class LaurentSeries:
             rows = {}
             for e2, c2 in other.coeffs.items():
                 rows.setdefault(-1 - e2[i], []).append((e2[:i] + (0,) + e2[i + 1 :], c2))
-        coeffs: dict[Expo, Number] = {}
-        get = coeffs.get
-        for e1, c1 in self.coeffs.items():
-            row = rows.get(None if i is None else e1[i], ())
-            if not row:
-                continue
-            if i is not None:
-                e1 = e1[:i] + (0,) + e1[i + 1 :]
-            inside = (all(map(le, lo, map(add, e1, right_lo)))
-                      and all(map(le, map(add, e1, right_hi), hi)))
-            for e2, c2 in row:
-                e = tuple(map(add, e1, e2))
-                if inside or (all(map(le, lo, e)) and all(map(le, e, hi))):
-                    coeffs[e] = get(e, 0) + c1 * c2
+        pairs, _ = _kernel_code(len(self.vars))
+        coeffs = pairs(self.coeffs.items(), rows, i, lo, hi, right_lo, right_hi)
         return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi, boxed=True)
 
     def _times_term(self, term: "LaurentSeries", window: Optional[Window], i: Optional[int]):
@@ -327,11 +385,8 @@ class LaurentSeries:
                 return LaurentSeries.zero(self.vars)
             sup_lo, sup_hi, lo, hi = boxes
             items = [(e[:i] + (-mu[i],) + e[i + 1 :], c2) for e, c2 in items if e[i] == -1 - mu[i]]
-        coeffs = {}
-        for e2, c2 in items:
-            e = tuple(map(add, e2, mu))
-            if inside or (all(map(le, lo, e)) and all(map(le, e, hi))):
-                coeffs[e] = c2 * c
+        _, shift = _kernel_code(len(self.vars))
+        coeffs = shift(items, mu, c, lo, hi, inside)
         return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi, boxed=True)
 
     def clipped(self, window: Window) -> "LaurentSeries":
@@ -450,6 +505,17 @@ class LaurentSeries:
             coeffs[exp] = _exact(scale * b * power)
             b, power, exp = b * (e - i) // (i + 1), power * u, tuple(map(operator.add, exp, m))
         return LaurentSeries(vars, coeffs, lead, sup_hi, acc_lo, acc_hi, boxed=True)
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_constant(vars: tuple[str, ...], value: int) -> LaurentSeries:
+    """The series 0 or 1 in these variables, built once per tuple: no
+    operation changes a series it is given, so every caller can hold the
+    same object."""
+    n = len(vars)
+    if value:
+        return LaurentSeries(vars, {(0,) * n: 1}, (0,) * n, (0,) * n, (-INF,) * n, (INF,) * n)
+    return LaurentSeries(vars, {}, (INF,) * n, (-INF,) * n, (-INF,) * n, (INF,) * n)
 
 
 # ---------------------------------------------------------------------------

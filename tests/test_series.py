@@ -262,14 +262,24 @@ POWER_BASES = ["x", "y", "z", "1+x", "1+y", "1+z", "2+x", "1-y", "1+x*y", "x*y*(
                "1+(1+y)*z", "1+x+y"]
 # bases of three terms have no negative power (see `LaurentSeries.pow`)
 THREE_TERM_BASES = {"1+(1+y)*z", "1+x+y"}
+# a fourth variable, and constant bases for a series in no variable
+W_BASES = ["w", "1+w", "1-w", "2+w", "1+z*w", "1+w*y", "x*w*(1+y)"]
+CONSTANT_BASES = ["2", "2+3", "1-3"]
+
+
+def bases_in(vars):
+    """The bases above that use only `vars`; constants when there are none."""
+    letters = set("xyzw")
+    usable = [b for b in POWER_BASES + W_BASES if set(b) & letters <= set(vars)]
+    return usable or CONSTANT_BASES
 
 
 @st.composite
-def products_of_powers(draw):
-    """A product of one to four powers over the resexpr grammar."""
+def products_of_powers(draw, vars=XYZ):
+    """A product of one to four powers over the resexpr grammar in `vars`."""
     factors = []
     for _ in range(draw(st.integers(1, 4))):
-        base = draw(st.sampled_from(POWER_BASES))
+        base = draw(st.sampled_from(bases_in(vars)))
         low = 0 if base in THREE_TERM_BASES else -3
         factors.append(f"({base})^({draw(st.integers(low, 3))})")
     if draw(st.booleans()):

@@ -136,12 +136,12 @@ def bases(draw):
 
 
 @st.composite
-def windows(draw):
-    """None, or per variable: omitted, finite, or open above or below."""
+def windows(draw, vars=XYZ):
+    """None, or per variable of `vars`: omitted, finite, or open above or below."""
     if draw(st.integers(0, 9)) == 0:
         return None
     window = {}
-    for v in XYZ:
+    for v in vars:
         kind = draw(st.sampled_from(["finite", "finite", "none", "above", "below"]))
         lo, hi = sorted((draw(st.integers(-12, 12)), draw(st.integers(-12, 12))))
         if kind == "finite":
