@@ -242,10 +242,6 @@ class Substitution:
     def as_dict(self) -> dict[str, LinExpr]:
         return dict(self.mapping)
 
-    def apply_env(self, env: Mapping[str, int]) -> dict[str, int]:
-        """Compose: the parent environment induced by a target environment."""
-        return {name: image.evaluate(env) for name, image in self.mapping}
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -366,16 +362,6 @@ def _compiled_at(ident: Identity, env: Mapping[str, int]) -> tuple[CompiledIdent
 def eval_side(side: Side, env: Mapping[str, int]) -> int:
     compiled, vals = _compiled_at(Identity("side", (), side, Term()), env)
     return compiled.evaluate(vals)[0]
-
-
-def constraints_satisfied(ident: Identity, env: Mapping[str, int]) -> bool:
-    """True iff every recorded constraint evaluates >= 0.
-
-    Constraints mentioning the bound variable are required to hold for every
-    index in the summation range (vacuously for empty sums).
-    """
-    compiled, vals = _compiled_at(ident, env)
-    return compiled.admissible(vals)
 
 
 def eval_identity(ident: Identity, env: Mapping[str, int]) -> EvalResult:

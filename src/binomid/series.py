@@ -657,7 +657,3 @@ def first_difference(a: LaurentSeries, b: LaurentSeries):
         if ca != cb:
             return e, Fraction(ca), Fraction(cb)
     return None
-
-
-def series_equal(a: LaurentSeries, b: LaurentSeries) -> bool:
-    return first_difference(a, b) is None

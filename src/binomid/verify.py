@@ -2,17 +2,22 @@
 
 Grid evaluation may be sharded across worker processes; every environment
 evaluation is pure and shard results merge in enumeration order, so reports
-do not depend on scheduling. Failures are listed lexicographically in the
-identity's declared parameter order.
+do not depend on scheduling. The worker processes start once per process
+and are reused by later sharded calls (see `shard_map`). Failures are listed
+lexicographically in the identity's declared parameter order.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
 import random
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -118,19 +123,82 @@ def _grid_shard(args):
     return checked, failures
 
 
+def _exit_with_parent() -> None:
+    """Worker initializer: end the worker as soon as its parent process dies.
+
+    A worker blocked on the task queue would otherwise outlive a parent that
+    was killed, since nothing closes that queue.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="binomid-parent-watch", daemon=True).start()
+
+
+class _Workers:
+    """The process's worker pool: started on first use, kept for later calls.
+
+    At a normal interpreter exit `concurrent.futures` shuts every executor
+    down and joins its workers; `_exit_with_parent` covers a killed process.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.pool: Optional[ProcessPoolExecutor] = None
+        self.size = 0
+
+    def map(self, worker, tasks: list) -> list:
+        """`worker` over `tasks`, one worker process per task, results in order.
+
+        A pool of another size is shut down first. A broken pool is dropped
+        so that the next call starts a fresh one; the error propagates.
+        """
+        with self.lock:
+            if self.pool is not None and self.size != len(tasks):
+                self.close()
+            if self.pool is None:
+                self.pool = ProcessPoolExecutor(
+                    max_workers=len(tasks),
+                    mp_context=multiprocessing.get_context("spawn"),
+                    initializer=_exit_with_parent,
+                )
+                self.size = len(tasks)
+            try:
+                return list(self.pool.map(worker, tasks))
+            except BrokenProcessPool:
+                self.close()
+                raise
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
+
+
+_WORKERS = _Workers()
+
+
 def shard_map(worker, total: int, jobs: int, task) -> list:
     """`worker(task(start, stop))` over contiguous shards of range(total).
 
     Results come back in shard order. At most `os.cpu_count()` worker
     processes run; with one worker, or fewer than two items per worker,
-    the single shard runs in-process.
+    the single shard runs in-process. Otherwise each worker takes one
+    shard. The workers are started with the spawn method by the first
+    such call, which pays their start-up, and are reused by every later
+    call with the same worker count; a call with another count replaces
+    them. They exit with this process, also when it is killed. Workers
+    keep only code caches between calls, never results, so reports are
+    byte-identical for any worker count.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total < 2 * jobs:
         return [worker(task(0, total))]
     bounds = [total * i // jobs for i in range(jobs + 1)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, [task(bounds[i], bounds[i + 1]) for i in range(jobs)]))
+    return _WORKERS.map(worker, [task(bounds[i], bounds[i + 1]) for i in range(jobs)])
 
 
 def verify_grid(ident: Identity, grid: GridSpec, jobs: int = 1) -> VerificationReport:

@@ -20,8 +20,10 @@ from binomid.model import (
     structurally_equal,
 )
 from binomid.resexpr import series_expand
-from binomid.series import LaurentSeries, first_difference, geometric_collapse, series_equal
+from binomid.series import LaurentSeries, first_difference, geometric_collapse
 from binomid.verify import GridSpec, fuzz, verify_grid
+
+from conftest import series_equal
 
 PAPER_IDENTITIES = ["chugen", "chu2gen"] + [f"eq{i}" for i in range(1, 15)]
 LITERATURE = [

@@ -12,6 +12,8 @@ from binomid.dsl import parse_identity
 from binomid.model import apply_chain, canonicalize, structurally_equal, substitute
 from binomid.verify import GridSpec, verify_grid
 
+from conftest import apply_env, constraints_satisfied
+
 
 def test_builtin_counts(catalog):
     assert len(catalog.identities) == 26
@@ -111,7 +113,7 @@ def test_bizley1_exercises_negative_parent_values(catalog):
     # the map sends the parent's p to -d: composed environments reach p < 0
     claim = catalog.claim("bizley1")
     env = {"a": 1, "b": 1, "d": 3, "p": 2}
-    assert claim.substitution.apply_env(env)["p"] == -3
+    assert apply_env(claim.substitution, env)["p"] == -3
 
 
 def test_structural_mismatch_is_reported(catalog):
@@ -165,13 +167,11 @@ def test_stanley_swap_preserves_truth(catalog):
 def test_stanley_swap_rescues_out_of_domain_corner(catalog):
     # stanley2's displayed form needs q+b >= a; the swap moves a violating
     # corner into the verified region (p+q >= 0 makes both fail impossible)
-    from binomid.model import constraints_satisfied
-
     stan2 = catalog.identity("stanley2")
     claim = catalog.claim("stanley2")
     env = {"p": 0, "q": 0, "a": 1, "b": 0}
     assert not constraints_satisfied(stan2, env)
-    swapped_env = claim.swap.apply_env(env)
+    swapped_env = apply_env(claim.swap, env)
     assert constraints_satisfied(stan2, swapped_env)
 
 

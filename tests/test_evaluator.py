@@ -19,11 +19,11 @@ from binomid.model import (
     EvalError,
     SumExpr,
     Term,
-    constraints_satisfied,
     eval_identity,
     eval_side,
 )
 
+from conftest import constraints_satisfied
 from test_dsl import identities, linexprs
 
 

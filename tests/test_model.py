@@ -25,7 +25,7 @@ from binomid.model import (
     substitute,
 )
 
-from conftest import comb_oracle
+from conftest import apply_env, comb_oracle
 
 
 def lin(text):
@@ -204,7 +204,7 @@ def test_substitution_homomorphism_all_claims(catalog):
         specialized = substitute(parent, claim.substitution, "s")
         for _ in range(20):
             env = {p: rng.randint(-4, 6) for p in target.params}
-            parent_env = claim.substitution.apply_env(env)
+            parent_env = apply_env(claim.substitution, env)
             spec = eval_identity(
                 Identity("s", specialized.params, specialized.lhs, specialized.rhs), env
             )

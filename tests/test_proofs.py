@@ -206,7 +206,7 @@ def test_trace_callback_invoked(catalog):
     assert any("after" in l for l in labels)
 
 
-def test_traced_run_is_one_in_process_pass(catalog, monkeypatch):
+def test_traced_run_is_one_in_process_pass(catalog, monkeypatch, own_workers):
     from binomid import verify
 
     def no_pool(*args, **kwargs):

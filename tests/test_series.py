@@ -17,8 +17,9 @@ from binomid.series import (
     geometric_collapse,
     res,
     residue_eval_simple_pole,
-    series_equal,
 )
+
+from conftest import series_equal
 
 XYZ = ("x", "y", "z")
 W3 = {"x": (-8, 8), "y": (-8, 8), "z": (-8, 8)}

@@ -1,7 +1,18 @@
 import itertools
+import json
+import multiprocessing
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+from binomid.cli import main
 from binomid.model import BinomFactor, CompiledIdentity, Identity, LinExpr, Term
 from binomid import verify
 from binomid.verify import GridError, GridSpec, fuzz, shard_map, verify_grid
@@ -118,20 +129,25 @@ class RecordingPool:
 
     made: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **kwargs):
         self.max_workers = max_workers
         self.tasks = []
+        self.closed = False
         RecordingPool.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def map(self, fn, tasks):
         self.tasks = list(tasks)
         return map(fn, self.tasks)
+
+    def shutdown(self):
+        self.closed = True
+
+
+@pytest.fixture
+def recording_pool(monkeypatch, own_workers):
+    """Every pool shard_map starts is a RecordingPool."""
+    RecordingPool.made = []
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
 
 
 @pytest.mark.parametrize(
@@ -144,30 +160,30 @@ class RecordingPool:
         (64, 1, 100, None),
     ],
 )
-def test_shard_map_clamps_workers(monkeypatch, cpus, jobs, total, workers):
-    RecordingPool.made = []
+def test_shard_map_clamps_workers(monkeypatch, recording_pool, cpus, jobs, total, workers):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
-    shards = shard_map(lambda span: span, total, jobs, lambda start, stop: (start, stop))
-    # contiguous shards in order, covering every item once
-    assert [i for start, stop in shards for i in range(start, stop)] == list(range(total))
-    if workers is None:
-        assert RecordingPool.made == [] and shards == [(0, total)]
-    else:
-        assert [pool.max_workers for pool in RecordingPool.made] == [workers]
-        assert len(shards) == workers
+    for _ in range(2):
+        shards = shard_map(lambda span: span, total, jobs, lambda start, stop: (start, stop))
+        # contiguous shards in order, covering every item once
+        assert [i for start, stop in shards for i in range(start, stop)] == list(range(total))
+        if workers is None:
+            assert RecordingPool.made == [] and shards == [(0, total)]
+        else:
+            # the second call reuses the pool the first one made
+            assert [pool.max_workers for pool in RecordingPool.made] == [workers]
+            assert len(shards) == workers
 
 
-def test_report_is_independent_of_clamped_jobs(catalog, monkeypatch):
+def test_report_is_independent_of_clamped_jobs(catalog, monkeypatch, recording_pool):
     ident = catalog.identity("eq4")
     grid = GridSpec.uniform(ident.params, 0, 4)
     serial = verify_grid(ident, grid).canonical_json()
-    RecordingPool.made = []
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
-    for jobs in (2, 3, 1000):
+    for jobs in (2, 3, 1000, 2):
         assert verify_grid(ident, grid, jobs=jobs).canonical_json() == serial
-    assert [pool.max_workers for pool in RecordingPool.made] == [2, 3, 3]
+    # a new pool only when the worker count changes, and the old one is shut down
+    assert [pool.max_workers for pool in RecordingPool.made] == [2, 3, 2]
+    assert [pool.closed for pool in RecordingPool.made] == [True, True, False]
 
 
 def test_constraints_skip_envs(catalog):
@@ -230,3 +246,101 @@ def test_report_json_schema(catalog):
     assert set(entry) == {"env", "lhs", "rhs"}
     assert isinstance(entry["lhs"], str) and isinstance(entry["rhs"], str)
     int(entry["lhs"])  # decimal strings
+
+
+# -- worker pool lifetime -----------------------------------------------------------
+
+SRC = Path(verify.__file__).resolve().parents[1]
+
+# Starts the pool with two workers (whatever the core count), prints the pids
+# of its processes, then exits or waits on stdin to be killed.
+POOL_CHILD = """
+import multiprocessing, multiprocessing.resource_tracker, os, sys
+from binomid import verify
+from binomid.catalog import load_builtin
+os.cpu_count = lambda: 2
+ident = load_builtin().identity("eq4")
+report = verify.verify_grid(ident, verify.GridSpec.uniform(ident.params, 0, 4), jobs=2)
+assert report.ok and report.instances == 5 ** 5
+pids = [p.pid for p in multiprocessing.active_children()]
+tracker = getattr(multiprocessing.resource_tracker._resource_tracker, "_pid", None)
+print(len(pids), *pids, *([tracker] if tracker else []), flush=True)
+if sys.argv[1] == "kill":
+    sys.stdin.read()
+"""
+
+
+def running(pid):
+    """True while pid is a process that has not exited (a zombie has)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:  # exited since, or a system without /proc
+        return not os.path.isdir("/proc/self")
+
+
+@pytest.mark.parametrize("ending", ["exit", "kill"])
+def test_workers_end_with_their_process(ending):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    pids = []
+    with subprocess.Popen([sys.executable, "-c", POOL_CHILD, ending], env=env, text=True,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as child:
+        try:
+            assert select.select([child.stdout], [], [], 60)[0], "no pids within 60 s"
+            workers, *pids = map(int, child.stdout.readline().split())
+            assert workers == 2 and len(pids) >= workers
+            assert all(running(pid) for pid in pids)
+            if ending == "kill":
+                child.kill()
+            assert child.wait(timeout=60) == (0 if ending == "exit" else -signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if running(pid)]
+        finally:
+            child.kill()
+            for pid in filter(running, pids):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_broken_pool_is_dropped_and_the_next_call_starts_a_new_one(catalog, monkeypatch,
+                                                                    own_workers):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    with pytest.raises(BrokenProcessPool):
+        shard_map(os._exit, 4, 2, lambda start, stop: 1)
+    assert own_workers.pool is None
+    ident = catalog.identity("eq4")
+    grid = GridSpec.uniform(ident.params, 0, 4)
+    assert verify_grid(ident, grid, jobs=2).canonical_json() == verify_grid(ident, grid).canonical_json()
+
+
+def report_of(out):
+    report = json.loads(out)
+    del report["elapsed_ms"]
+    return report
+
+
+def test_cli_run_on_a_broken_pool_is_an_internal_error(capsys, monkeypatch, own_workers):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    argv = ["verify", "--identity", "eq4", "--range", "*=0..4", "--jobs", "2", "--format", "json"]
+    before = set(multiprocessing.active_children())
+    assert main(argv) == 0
+    first = report_of(capsys.readouterr().out)
+    workers = [p for p in multiprocessing.active_children() if p not in before]
+    assert len(workers) == 2
+    # a worker killed from outside, as the system's out-of-memory killer would
+    os.kill(workers[0].pid, signal.SIGKILL)
+    workers[0].join(timeout=10)
+    assert not workers[0].is_alive()
+    assert main(argv) == 3
+    assert "internal error: BrokenProcessPool" in capsys.readouterr().err
+    # the broken pool was dropped: the next run starts a new one
+    assert main(argv) == 0
+    assert report_of(capsys.readouterr().out) == first
