@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import pickle
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -331,16 +332,63 @@ def _run_instance(script: ProofScript, env, window: int, trace, memo) -> tuple[i
     return len(script.steps), None
 
 
-def _script_worker(args):
-    """The results of one shard's instances, in instance order.
+_SCRIPTS_KEPT = 4  # scripts a process keeps pickled (parent side) or loaded (worker side)
 
-    Instances of one budget share a window and so one evaluation memo. They
-    are visited in budget order, and each memo is dropped when its budget is
-    done; a traced run keeps instance order, so its output reads instance by
-    instance. A WindowError raises as in instance order: the first instance
-    that raises it wins, and later instances are not run.
+
+class _Shipped:
+    """A script in a worker task: in-process it just holds the object;
+    pickled, it is the script's bytes. The bytes are dumped once per script
+    object (`_SENT`), and each worker loads equal bytes once (`_RECEIVED`),
+    so a script is pickled and unpickled once, not once per task."""
+
+    __slots__ = ("script",)
+
+    def __init__(self, script: ProofScript):
+        self.script = script
+
+    def __reduce__(self):
+        # keyed by id: the entry holds the object, so its id is not reused.
+        # Only the pool's feeder thread pickles tasks, while `_Workers.map`
+        # holds its lock, so one thread at a time updates `_SENT`.
+        key = id(self.script)
+        if key not in _SENT:
+            _keep(_SENT, key, (self.script, pickle.dumps(self.script)))
+        return _received, (_SENT[key][1],)
+
+
+def _received(data: bytes) -> _Shipped:
+    """The script pickled as `data`. Equal bytes unpickle to an equal
+    script, so a cached entry can never stand in for another script."""
+    script = _RECEIVED.get(data)
+    if script is None:
+        script = pickle.loads(data)
+        _keep(_RECEIVED, data, script)
+    return _Shipped(script)
+
+
+def _keep(cache: dict, key, value) -> None:
+    if len(cache) >= _SCRIPTS_KEPT:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
+_SENT: dict = {}
+_RECEIVED: dict = {}
+
+
+def _script_worker(args):
+    """One shard's results in shard order, and its first WindowError.
+
+    The script arrives as a `_Shipped`. Instances of one budget share a
+    window and so one evaluation memo. They are visited in budget order,
+    and each memo is dropped when its budget is done; a traced run keeps
+    instance order, so its output reads instance by instance. A WindowError
+    is kept as in instance order: the first instance that raises it wins,
+    later instances are not run, and it is returned with its index in
+    range(total) so that the caller can pick the first across shards.
     """
-    script, envs, window, trace = args
+    shipped, shard, envs, window, trace = args
+    script = shipped.script
     budgets = [script.budget_hint.evaluate(script.instance_env(env)) for env in envs]
     order = range(len(envs))
     if trace is None:
@@ -357,8 +405,8 @@ def _script_worker(args):
         except WindowError as exc:
             error = (i, exc)
     if error is not None:
-        raise error[1]
-    return results
+        error = (shard[error[0]], error[1])
+    return shard, results, error
 
 
 def run_proof_script(
@@ -371,20 +419,28 @@ def run_proof_script(
     """Check every step of a script at every instance.
 
     Instances are independent; checking stops at the first failing step per
-    instance and the report merges results in instance order. A run with a
-    trace callback stays in-process, since callbacks do not pickle.
+    instance and the report merges results in instance order. A WindowError
+    raises for the first instance in instance order that meets one. A run
+    with a trace callback stays in-process, since callbacks do not pickle.
     """
     started = time.perf_counter()
     instances = list(instances)
+    shipped = _Shipped(script)
     chunks = shard_map(
         _script_worker,
         len(instances),
         1 if trace is not None else jobs,
-        lambda start, stop: (script, instances[start:stop], window, trace),
+        lambda shard: (shipped, shard, [instances[i] for i in shard], window, trace),
     )
+    errors = [error for _, _, error in chunks if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    results = [None] * len(instances)
+    for shard, shard_results, _ in chunks:
+        results[shard.start::shard.step] = shard_results
     passes = [0] * len(script.steps)
     failures = []
-    for steps_passed, failure in itertools.chain.from_iterable(chunks):
+    for steps_passed, failure in results:
         for i in range(steps_passed):
             passes[i] += 1
         if failure is not None:

@@ -1,9 +1,13 @@
 """Exhaustive and randomized verification of identities over integer grids.
 
-Grid evaluation may be sharded across worker processes; every environment
-evaluation is pure and shard results merge in enumeration order, so reports
-do not depend on scheduling. The worker processes start once per process
-and are reused by later sharded calls (see `shard_map`). Failures are listed
+Grid evaluation may be sharded across worker processes. Shards are
+interleaved: with w workers, worker j takes points j, j+w, j+2w, ... of the
+enumeration, so each worker gets an equal mix of cheap and costly points.
+Every environment evaluation is pure and shard results merge back in
+enumeration order, so reports do not depend on scheduling. The worker
+processes start once per process and are reused by later sharded calls (see
+`shard_map`); proof runs shard on the same helper and send each proof
+script to a worker once (see `binomid.proofs`). Failures are listed
 lexicographically in the identity's declared parameter order.
 """
 from __future__ import annotations
@@ -108,12 +112,12 @@ class VerificationReport:
 
 
 def _grid_shard(args):
-    ident, ranges, start, stop = args
+    ident, ranges, shard = args
     compiled = CompiledIdentity(ident)
     checked = 0
     failures = []
     axes = [range(lo, hi + 1) for lo, hi in ranges]
-    for point in itertools.islice(itertools.product(*axes), start, stop):
+    for point in itertools.islice(itertools.product(*axes), shard.start, None, shard.step):
         if not compiled.admissible(point):
             continue
         checked += 1
@@ -182,30 +186,33 @@ _WORKERS = _Workers()
 
 
 def shard_map(worker, total: int, jobs: int, task) -> list:
-    """`worker(task(start, stop))` over contiguous shards of range(total).
+    """`worker(task(shard))` over interleaved shards of range(total).
 
-    Results come back in shard order. At most `os.cpu_count()` worker
-    processes run; with one worker, or fewer than two items per worker,
-    the single shard runs in-process. Otherwise each worker takes one
-    shard. The workers are started with the spawn method by the first
-    such call, which pays their start-up, and are reused by every later
-    call with the same worker count; a call with another count replaces
-    them. They exit with this process, also when it is killed. Workers
-    keep only code caches between calls, never results, so reports are
+    With w workers, shard j is `range(j, total, w)`, so item cost that grows
+    along the item order is spread evenly; callers merge the results back
+    in item order. Results come back in shard order. At most
+    `os.cpu_count()` worker processes run; with one worker, or fewer than
+    two items per worker, the single shard `range(total)` runs in-process.
+    Otherwise each worker takes one shard. The workers are started with
+    the spawn method by the first such call, which pays their start-up,
+    and are reused by every later call with the same worker count; a call
+    with another count replaces them. They exit with this process, also
+    when it is killed. Workers keep only inputs between calls (code caches
+    and the proof scripts they loaded), never results, so reports are
     byte-identical for any worker count.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total < 2 * jobs:
-        return [worker(task(0, total))]
-    bounds = [total * i // jobs for i in range(jobs + 1)]
-    return _WORKERS.map(worker, [task(bounds[i], bounds[i + 1]) for i in range(jobs)])
+        return [worker(task(range(total)))]
+    return _WORKERS.map(worker, [task(range(j, total, jobs)) for j in range(jobs)])
 
 
 def verify_grid(ident: Identity, grid: GridSpec, jobs: int = 1) -> VerificationReport:
     """Evaluate every admissible environment of the Cartesian grid.
 
     Environments violating the identity's constraints are skipped. The report
-    is identical for any number of jobs (elapsed time aside).
+    is identical for any number of jobs (elapsed time aside): the merged
+    failures are sorted by their point, which is enumeration order.
     """
     started = time.perf_counter()
     ranges = grid.ordered_for(ident)
@@ -214,10 +221,11 @@ def verify_grid(ident: Identity, grid: GridSpec, jobs: int = 1) -> VerificationR
         total *= hi - lo + 1
     checked, failures = 0, []
     for shard_checked, shard_failures in shard_map(
-        _grid_shard, total, jobs, lambda start, stop: (ident, ranges, start, stop)
+        _grid_shard, total, jobs, lambda shard: (ident, ranges, shard)
     ):
         checked += shard_checked
         failures.extend(shard_failures)
+    failures.sort(key=lambda f: [f.env[p] for p in ident.params])
     elapsed = int((time.perf_counter() - started) * 1000)
     grid_dict = {p: r for p, r in zip(ident.params, ranges)}
     return VerificationReport(ident.name, grid_dict, checked, failures, elapsed)

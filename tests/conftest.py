@@ -23,6 +23,32 @@ def own_workers(monkeypatch):
     workers.close()
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    made: list = []
+
+    def __init__(self, max_workers, **kwargs):
+        self.max_workers = max_workers
+        self.tasks = []
+        self.closed = False
+        RecordingPool.made.append(self)
+
+    def map(self, fn, tasks):
+        self.tasks = list(tasks)
+        return map(fn, self.tasks)
+
+    def shutdown(self):
+        self.closed = True
+
+
+@pytest.fixture
+def recording_pool(monkeypatch, own_workers):
+    """Every pool shard_map starts is a RecordingPool."""
+    RecordingPool.made = []
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+
+
 def comb_oracle(n: int, k: int) -> int:
     """Independent generalized binomial: math.comb plus upper negation.
 

@@ -16,6 +16,7 @@ from binomid.proofs import (ProofReport, StepFailure, _check_step_in_context, _c
                             run_proof_script)
 from binomid.resexpr import EvalContext, evaluate, free_params
 
+from conftest import RecordingPool
 from test_proofs import mutate_step
 
 SCRIPTS = ("proof-eq1", "proof-eq2")
@@ -125,3 +126,31 @@ def test_window_error_raises_for_the_first_instance_in_order(catalog, monkeypatc
         run_proof_script(script, envs, window=2)
     assert seen.index(late) < seen.index(early)
     assert all(envs.index(env) <= envs.index(early) for env in seen[seen.index(early):])
+
+
+def test_window_error_across_shards_is_the_first_in_instance_order(catalog, monkeypatch,
+                                                                   recording_pool):
+    # shard 0 (even indices) runs before shard 1 in-process; the error of the
+    # later shard names the earlier instance, so it wins
+    from binomid import proofs, verify
+    from binomid.series import WindowError
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    script = catalog.script("proof-eq1")
+    envs = script.instances({p: (0, 1) for p in script.params})
+    early, late = envs[1], envs[2]
+    seen = []
+    check = proofs._check_step_in_context
+
+    def failing(script, index, ctx, trace=None):
+        env = {p: ctx.env[p] for p in script.params}
+        seen.append(env)
+        if env in (early, late):
+            raise WindowError(f"at {env}")
+        return check(script, index, ctx, trace)
+
+    monkeypatch.setattr(proofs, "_check_step_in_context", failing)
+    with pytest.raises(WindowError, match=re.escape(f"at {early}")):
+        run_proof_script(script, envs, window=2, jobs=2)
+    assert [pool.max_workers for pool in RecordingPool.made] == [2]
+    assert seen.index(late) < seen.index(early)

@@ -189,6 +189,37 @@ def test_run_is_deterministic_across_jobs(catalog):
     assert a.canonical_json() == b.canonical_json()
 
 
+def loaded_scripts(_):
+    """In a worker: how many scripts it keeps loaded."""
+    from binomid import proofs
+
+    return len(proofs._RECEIVED)
+
+
+def test_a_changed_script_is_never_served_from_a_worker_cache(catalog, monkeypatch, own_workers):
+    from binomid import proofs, verify
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(proofs, "_SENT", {})
+    script = catalog.script("proof-eq2")
+    envs = small_instances(script, hi=1)[:8]
+    first = run_proof_script(script, envs, window=2, jobs=2)
+    assert first.ok and own_workers.pool is not None
+    idx = 3
+    mutated = mutate_step(script, idx)  # the same name, one step changed
+    report = run_proof_script(mutated, envs, window=2, jobs=2)
+    assert report.canonical_json() == run_proof_script(mutated, envs, window=2).canonical_json()
+    assert {f.step for f in report.failures} == {idx}
+    assert run_proof_script(script, envs, window=2, jobs=2).canonical_json() == first.canonical_json()
+    # more distinct scripts than either side keeps
+    for idx in range(proofs._SCRIPTS_KEPT + 1):
+        report = run_proof_script(mutate_step(script, idx), envs, window=2, jobs=2)
+        assert {f.step for f in report.failures} == {idx}
+    assert len(proofs._SENT) == proofs._SCRIPTS_KEPT
+    assert all(n <= proofs._SCRIPTS_KEPT for n in verify.shard_map(
+        loaded_scripts, 4, 2, lambda shard: None))
+
+
 def test_window_doubling_agrees(catalog):
     script = catalog.script("proof-eq2")
     env = {"a": 2, "c": 1, "d": 2, "n": 2, "p": 1}

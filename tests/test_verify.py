@@ -17,7 +17,7 @@ from binomid.model import BinomFactor, CompiledIdentity, Identity, LinExpr, Term
 from binomid import verify
 from binomid.verify import GridError, GridSpec, fuzz, shard_map, verify_grid
 
-from conftest import comb_oracle
+from conftest import RecordingPool, comb_oracle
 
 
 def naive_chugen_check(env):
@@ -124,32 +124,6 @@ def test_shard_determinism(catalog):
     assert reports[0].instances == 5 ** 5
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-    made: list = []
-
-    def __init__(self, max_workers, **kwargs):
-        self.max_workers = max_workers
-        self.tasks = []
-        self.closed = False
-        RecordingPool.made.append(self)
-
-    def map(self, fn, tasks):
-        self.tasks = list(tasks)
-        return map(fn, self.tasks)
-
-    def shutdown(self):
-        self.closed = True
-
-
-@pytest.fixture
-def recording_pool(monkeypatch, own_workers):
-    """Every pool shard_map starts is a RecordingPool."""
-    RecordingPool.made = []
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
-
-
 @pytest.mark.parametrize(
     "cpus, jobs, total, workers",
     [
@@ -163,11 +137,12 @@ def recording_pool(monkeypatch, own_workers):
 def test_shard_map_clamps_workers(monkeypatch, recording_pool, cpus, jobs, total, workers):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     for _ in range(2):
-        shards = shard_map(lambda span: span, total, jobs, lambda start, stop: (start, stop))
-        # contiguous shards in order, covering every item once
-        assert [i for start, stop in shards for i in range(start, stop)] == list(range(total))
+        shards = shard_map(lambda shard: shard, total, jobs, lambda shard: shard)
+        # every item once; shard j holds the items that are j modulo the worker count
+        assert sorted(i for shard in shards for i in shard) == list(range(total))
+        assert all(i % len(shards) == j for j, shard in enumerate(shards) for i in shard)
         if workers is None:
-            assert RecordingPool.made == [] and shards == [(0, total)]
+            assert RecordingPool.made == [] and shards == [range(total)]
         else:
             # the second call reuses the pool the first one made
             assert [pool.max_workers for pool in RecordingPool.made] == [workers]
@@ -184,6 +159,21 @@ def test_report_is_independent_of_clamped_jobs(catalog, monkeypatch, recording_p
     # a new pool only when the worker count changes, and the old one is shut down
     assert [pool.max_workers for pool in RecordingPool.made] == [2, 3, 2]
     assert [pool.closed for pool in RecordingPool.made] == [True, True, False]
+
+
+def test_failures_from_every_shard_merge_in_enumeration_order(catalog, monkeypatch,
+                                                              recording_pool):
+    ident = corrupted(catalog.identity("chugen"))
+    grid = GridSpec.uniform(ident.params, 0, 3)  # 4 ** 5 points: 3 shards do not divide them
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+    reports = {jobs: verify_grid(ident, grid, jobs=jobs) for jobs in (1, 2, 3)}
+    assert [pool.max_workers for pool in RecordingPool.made] == [2, 3]
+    serial = reports[1].canonical_json()
+    assert reports[2].canonical_json() == serial and reports[3].canonical_json() == serial
+    points = list(itertools.product(range(4), repeat=len(ident.params)))
+    failing = [points.index(tuple(f.env[p] for p in ident.params)) for f in reports[3].failures]
+    assert failing == sorted(failing)
+    assert {i % 2 for i in failing} == {0, 1} and {i % 3 for i in failing} == {0, 1, 2}
 
 
 def test_constraints_skip_envs(catalog):
@@ -314,7 +304,7 @@ def test_broken_pool_is_dropped_and_the_next_call_starts_a_new_one(catalog, monk
                                                                     own_workers):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
     with pytest.raises(BrokenProcessPool):
-        shard_map(os._exit, 4, 2, lambda start, stop: 1)
+        shard_map(os._exit, 4, 2, lambda shard: 1)
     assert own_workers.pool is None
     ident = catalog.identity("eq4")
     grid = GridSpec.uniform(ident.params, 0, 4)
