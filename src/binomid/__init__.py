@@ -20,9 +20,8 @@ from .model import (
     structurally_equal,
     substitute,
 )
-from .proofs import ProofReport, ProofScript, check_step, run_proof_script
-from .resexpr import series_expand
-from .series import LaurentSeries, geometric_collapse, res, residue_eval_simple_pole
+from .proofs import ProofReport, ProofScript, run_proof_script
+from .series import LaurentSeries, geometric_collapse, res
 from .verify import GridSpec, VerificationReport, fuzz, verify_grid
 
 __version__ = "0.1.0"

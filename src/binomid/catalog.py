@@ -21,6 +21,7 @@ from .model import (
     RewriteStep,
     SubstStep,
     Substitution,
+    TERM_REWRITES,
     apply_chain,
     canonicalize,
     structurally_equal,
@@ -60,8 +61,8 @@ class SpecializationClaim:
     swap: Optional[Substitution] = None
     grid_overrides: tuple[tuple[str, tuple[int, int]], ...] = ()
 
-    def grid(self, lo: int = DEFAULT_GRID_LO, hi: int = DEFAULT_GRID_HI, params=()) -> GridSpec:
-        ranges = {p: (lo, hi) for p in params}
+    def grid(self, params) -> GridSpec:
+        ranges = {p: (DEFAULT_GRID_LO, DEFAULT_GRID_HI) for p in params}
         ranges.update(dict(self.grid_overrides))
         return GridSpec.of(ranges)
 
@@ -98,7 +99,10 @@ def _parse_chain_step(raw: dict) -> ChainStep:
     if op == "substitute":
         mapping = tuple((k, dsl.parse_linexpr(v)) for k, v in raw["map"].items())
         return SubstStep(mapping)
-    return RewriteStep(op, raw["side"], raw["index"], raw.get("index2"))
+    if op not in TERM_REWRITES:
+        known = ", ".join([*TERM_REWRITES, "substitute", "cancel_sign"])
+        raise CatalogError(f"unknown claim-chain op '{op}' (known: {known})")
+    return RewriteStep(op, raw["side"], raw["index"])
 
 
 def _build_claims(identities, declarations, claims_data) -> dict[str, SpecializationClaim]:
@@ -206,19 +210,13 @@ def specialized_form(catalog: Catalog, claim: SpecializationClaim) -> Identity:
     return substitute(parent, claim.substitution, f"{claim.parent}-specialized")
 
 
-def chained_form(catalog: Catalog, claim: SpecializationClaim, include_post: bool = True) -> Identity:
+def chained_form(catalog: Catalog, claim: SpecializationClaim) -> Identity:
     """The literature identity pushed through the claim's rewrite chain."""
     ident = catalog.identity(claim.name)
-    steps = claim.chain + (claim.post_chain if include_post else ())
-    return canonicalize(apply_chain(ident, steps))
+    return canonicalize(apply_chain(ident, claim.chain + claim.post_chain))
 
 
-def check_specialization(
-    catalog: Catalog,
-    claim: SpecializationClaim,
-    grid: Optional[GridSpec] = None,
-    jobs: int = 1,
-) -> ClaimResult:
+def check_specialization(catalog: Catalog, claim: SpecializationClaim, jobs: int = 1) -> ClaimResult:
     """Certify one claim: structural identity of forms plus grid verification.
 
     Structurally, substituting the parent and rewriting the literature
@@ -231,9 +229,7 @@ def check_specialization(
     spec_form = specialized_form(catalog, claim)
     chain_form = chained_form(catalog, claim)
     match = structurally_equal(spec_form, chain_form, allow_renaming=True)
-    if grid is None:
-        grid = claim.grid(params=target.params)
-    report = verify_grid(target, grid, jobs=jobs)
+    report = verify_grid(target, claim.grid(params=target.params), jobs=jobs)
     return ClaimResult(
         claim.name,
         match,

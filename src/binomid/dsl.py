@@ -143,8 +143,8 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -175,12 +175,12 @@ class _Parser:
             raise self.error("syntax error", (repr(word),))
         return self.next()
 
-    def at_sym(self, sym: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
+    def at_sym(self, sym: str) -> bool:
+        tok = self.peek()
         return tok.kind == "SYM" and tok.text == sym
 
-    def at_name(self, word: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
+    def at_name(self, word: str) -> bool:
+        tok = self.peek()
         return tok.kind == "NAME" and tok.text == word
 
     # -- linexpr ------------------------------------------------------------

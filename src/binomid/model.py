@@ -233,10 +233,10 @@ class Substitution:
     """Maps parent parameter names to affine images over target parameters."""
 
     mapping: tuple[tuple[str, LinExpr], ...]
-    target_params: tuple[str, ...] = ()
+    target_params: tuple[str, ...]
 
     @staticmethod
-    def of(mapping: Mapping[str, LinExpr], target_params=()) -> "Substitution":
+    def of(mapping: Mapping[str, LinExpr], target_params) -> "Substitution":
         return Substitution(tuple(mapping.items()), tuple(target_params))
 
     def as_dict(self) -> dict[str, LinExpr]:
@@ -442,12 +442,6 @@ def substitute_raw(ident: Identity, sub: Substitution, new_name: str) -> Identit
         if p not in m:
             raise SubstitutionError(f"substitution into '{ident.name}' misses parameter '{p}'")
     params = sub.target_params
-    if not params:
-        seen: dict[str, None] = {}
-        for _, image in sub.mapping:
-            for v in image.variables():
-                seen.setdefault(v)
-        params = tuple(seen)
 
     lhs = ident.lhs
     if isinstance(lhs, SumExpr):
@@ -476,24 +470,9 @@ def substitute(ident: Identity, sub: Substitution, new_name: str) -> Identity:
 # ---------------------------------------------------------------------------
 # Rewrite rules
 #
-# Each rule rewrites one or two factors of a term in place and returns the
-# new term plus an optional side condition (a LinExpr that must be >= 0 for
-# the rewrite to preserve values; None when unconditional).
-
-
-def rewrite_trinomial_revision(t: Term, i: int, j: int) -> tuple[Term, Optional[LinExpr]]:
-    """C(a,k)*C(k,c) at positions (i, j) becomes C(a,c)*C(a-c,k-c)."""
-    fi, fj = t.factors[i], t.factors[j]
-    if fj.upper != fi.lower:
-        raise RewriteError(
-            f"trinomial revision needs factor {j} upper == factor {i} lower, "
-            f"got {fj.upper} vs {fi.lower}"
-        )
-    a, k, c = fi.upper, fi.lower, fj.lower
-    factors = list(t.factors)
-    factors[i] = BinomFactor(a, c)
-    factors[j] = BinomFactor(a - c, k - c)
-    return Term(t.sign_exponent, tuple(factors)), None
+# Each rule rewrites one factor of a term in place and returns the new term
+# plus an optional side condition (a LinExpr that must be >= 0 for the
+# rewrite to preserve values; None when unconditional).
 
 
 def _merge_sign(sign: Optional[LinExpr], extra: LinExpr) -> Optional[LinExpr]:
@@ -526,7 +505,6 @@ def rewrite_lower_symmetry(t: Term, i: int) -> tuple[Term, Optional[LinExpr]]:
 
 
 TERM_REWRITES = {
-    "trinomial_revision": rewrite_trinomial_revision,
     "upper_negation": rewrite_upper_negation,
     "second_symmetry": rewrite_second_symmetry,
     "lower_symmetry": rewrite_lower_symmetry,
@@ -544,7 +522,6 @@ class RewriteStep:
     op: str
     side: str  # "lhs" | "rhs"
     index: int
-    index2: Optional[int] = None  # second position for trinomial revision
 
 
 @dataclass(frozen=True)
@@ -601,10 +578,7 @@ def apply_chain_step(ident: Identity, step: ChainStep) -> Identity:
     rule = TERM_REWRITES[step.op]
     side = ident.lhs if step.side == "lhs" else ident.rhs
     term = _term_of_side(side)
-    if step.op == "trinomial_revision":
-        new_term, condition = rule(term, step.index, step.index2)
-    else:
-        new_term, condition = rule(term, step.index)
+    new_term, condition = rule(term, step.index)
     constraints = ident.constraints
     if condition is not None:
         constraints = constraints + (condition,)

@@ -16,7 +16,7 @@ import json
 import pickle
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Optional
 
 from .dsl import parse_linexpr, parse_term
@@ -69,7 +69,6 @@ class ProofStep:
     after_text: str
     before: RNode
     after: Optional[RNode]
-    target: Optional[str] = None
     mapping: tuple[tuple[str, LinExpr], ...] = ()
 
 
@@ -127,8 +126,7 @@ def load_script(data: dict, resolve: Callable[[str], Identity]) -> ProofScript:
         if kind == "Recognize":
             mapping = tuple((k, parse_linexpr(v)) for k, v in raw["map"].items())
             steps.append(
-                ProofStep(kind, raw.get("note", ""), previous_text, "", previous, None,
-                          target=raw["target"], mapping=mapping)
+                ProofStep(kind, raw.get("note", ""), previous_text, "", previous, None, mapping)
             )
             continue
         after_text = raw["after"]
@@ -172,30 +170,19 @@ def _difference_message(diff, vars) -> str:
     return f"first differing coefficient at {mono}: {ca} vs {cb}"
 
 
-def check_step(
-    script: ProofScript,
-    index: int,
-    instance: Mapping[str, int],
-    window: int = 2,
-    trace: Optional[Callable[[str, LaurentSeries], None]] = None,
-) -> StepResult:
-    """Check one step of a script at one instance.
-
-    Expression steps compare the before/after coefficient tables on the
-    intersection of their accuracy windows (a degenerate intersection is an
-    error, not a pass). The Recognize step checks the substitution into the
-    target identity structurally and numerically.
-    """
-    ctx = _context(script, instance, window, {})
-    return _check_step_in_context(script, index, ctx, trace)
-
-
 def _check_step_in_context(
     script: ProofScript,
     index: int,
     ctx: EvalContext,
     trace: Optional[Callable[[str, LaurentSeries], None]] = None,
 ) -> StepResult:
+    """Check one step of a script at the instance of `ctx`.
+
+    Expression steps compare the before/after coefficient tables on the
+    intersection of their accuracy windows (a degenerate intersection is an
+    error, not a pass). The Recognize step checks the substitution into the
+    target identity structurally and numerically.
+    """
     step = script.steps[index]
     if step.kind == "Recognize":
         return _check_recognize(script, index, ctx)
@@ -335,11 +322,16 @@ def _run_instance(script: ProofScript, env, window: int, trace, memo) -> tuple[i
 _SCRIPTS_KEPT = 4  # scripts a process keeps pickled (parent side) or loaded (worker side)
 
 
+# The parent's pickled scripts. Keyed by script equality, which is sound:
+# the bytes of either of two equal scripts unpickle to an equal script.
+_pickled = lru_cache(maxsize=_SCRIPTS_KEPT)(pickle.dumps)
+
+
 class _Shipped:
     """A script in a worker task: in-process it just holds the object;
     pickled, it is the script's bytes. The bytes are dumped once per script
-    object (`_SENT`), and each worker loads equal bytes once (`_RECEIVED`),
-    so a script is pickled and unpickled once, not once per task."""
+    (`_pickled`), and each worker loads equal bytes once (`_received`), so a
+    script is pickled and unpickled once, not once per task."""
 
     __slots__ = ("script",)
 
@@ -347,33 +339,14 @@ class _Shipped:
         self.script = script
 
     def __reduce__(self):
-        # keyed by id: the entry holds the object, so its id is not reused.
-        # Only the pool's feeder thread pickles tasks, while `_Workers.map`
-        # holds its lock, so one thread at a time updates `_SENT`.
-        key = id(self.script)
-        if key not in _SENT:
-            _keep(_SENT, key, (self.script, pickle.dumps(self.script)))
-        return _received, (_SENT[key][1],)
+        return _received, (_pickled(self.script),)
 
 
+@lru_cache(maxsize=_SCRIPTS_KEPT)
 def _received(data: bytes) -> _Shipped:
     """The script pickled as `data`. Equal bytes unpickle to an equal
     script, so a cached entry can never stand in for another script."""
-    script = _RECEIVED.get(data)
-    if script is None:
-        script = pickle.loads(data)
-        _keep(_RECEIVED, data, script)
-    return _Shipped(script)
-
-
-def _keep(cache: dict, key, value) -> None:
-    if len(cache) >= _SCRIPTS_KEPT:
-        del cache[next(iter(cache))]
-    cache[key] = value
-
-
-_SENT: dict = {}
-_RECEIVED: dict = {}
+    return _Shipped(pickle.loads(data))
 
 
 def _script_worker(args):

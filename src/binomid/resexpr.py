@@ -384,19 +384,6 @@ def _res_of_geo_product(node: RRes, ctx: EvalContext):
     return total
 
 
-def series_expand(
-    text: Union[str, RNode],
-    window: Mapping[str, tuple[int, int]],
-    env: Mapping[str, int] | None = None,
-    probe: int = 2,
-) -> LaurentSeries:
-    """Expand a formal expression into a LaurentSeries, exact in the window."""
-    node = parse_resexpr(text) if isinstance(text, str) else text
-    vars = tuple(window)
-    ctx = EvalContext(vars, dict(window), probe, dict(env or {}), {})
-    return evaluate(node, ctx)
-
-
 # ---------------------------------------------------------------------------
 # Conversion to the identity model (for Recognize steps)
 

@@ -177,16 +177,16 @@ def _kernel_code(n: int):
 class LaurentSeries:
     __slots__ = ("vars", "coeffs", "sup_lo", "sup_hi", "acc_lo", "acc_hi", "is_exact", "is_zero")
 
-    def __init__(self, vars, coeffs, sup_lo, sup_hi, acc_lo, acc_hi, boxed=False):
-        """`boxed` promises that every coefficient already lies inside the
-        accuracy box, so normalization skips filtering the table again."""
+    def __init__(self, vars, coeffs, sup_lo, sup_hi, acc_lo, acc_hi):
+        """The caller keeps `coeffs` inside the accuracy box: normalization
+        drops zeros but does not filter the table."""
         self.vars = tuple(vars)
         self.coeffs = coeffs
         self.sup_lo = tuple(sup_lo)
         self.sup_hi = tuple(sup_hi)
         self.acc_lo = tuple(acc_lo)
         self.acc_hi = tuple(acc_hi)
-        self._normalize(boxed)
+        self._normalize()
 
     # -- construction ------------------------------------------------------
 
@@ -215,8 +215,8 @@ class LaurentSeries:
 
     # -- invariants ----------------------------------------------------------
 
-    def _normalize(self, boxed: bool = False) -> None:
-        """Drop zero and unknown coefficients; store `is_exact` and `is_zero`."""
+    def _normalize(self) -> None:
+        """Drop zero coefficients; store `is_exact` and `is_zero`."""
         coeffs = self.coeffs
         if 0 in coeffs.values():
             for e in [e for e, c in coeffs.items() if c == 0]:
@@ -237,11 +237,6 @@ class LaurentSeries:
                 self.sup_lo = tuple(map(min, columns))
                 self.sup_hi = tuple(map(max, columns))
             self.acc_lo, self.acc_hi = (-INF,) * n, (INF,) * n
-        elif not boxed:
-            lo, hi = self.acc_lo, self.acc_hi
-            outside = [e for e in coeffs if not (all(map(le, lo, e)) and all(map(le, e, hi)))]
-            for e in outside:
-                del coeffs[e]
         self.is_exact = exact
         self.is_zero = not coeffs and all(map(operator.gt, self.sup_lo, self.sup_hi))
 
@@ -303,6 +298,11 @@ class LaurentSeries:
         sup_hi = tuple(map(max, self.sup_hi, other.sup_hi))
         acc_lo = tuple(map(max, self.acc_lo, other.acc_lo))
         acc_hi = tuple(map(min, self.acc_hi, other.acc_hi))
+        if not (self.is_exact and other.is_exact):
+            # the sum is known only where both operands are
+            le = operator.le
+            coeffs = {e: c for e, c in coeffs.items()
+                      if all(map(le, acc_lo, e)) and all(map(le, e, acc_hi))}
         return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, acc_lo, acc_hi)
 
     def __neg__(self) -> "LaurentSeries":
@@ -315,8 +315,7 @@ class LaurentSeries:
         if value == 0:
             return LaurentSeries.zero(self.vars)
         coeffs = {e: c * value for e, c in self.coeffs.items()}
-        return LaurentSeries(self.vars, coeffs, self.sup_lo, self.sup_hi, self.acc_lo, self.acc_hi,
-                             boxed=True)
+        return LaurentSeries(self.vars, coeffs, self.sup_lo, self.sup_hi, self.acc_lo, self.acc_hi)
 
     def __mul__(self, other: "LaurentSeries", window: Optional[Window] = None,
                 var: Optional[str] = None) -> "LaurentSeries":
@@ -359,7 +358,7 @@ class LaurentSeries:
                 rows.setdefault(-1 - e2[i], []).append((e2[:i] + (0,) + e2[i + 1 :], c2))
         pairs, _ = _kernel_code(len(self.vars))
         coeffs = pairs(self.coeffs.items(), rows, i, lo, hi, right_lo, right_hi)
-        return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi, boxed=True)
+        return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi)
 
     def _times_term(self, term: "LaurentSeries", window: Optional[Window], i: Optional[int]):
         """`__mul__` by an exact single term c*mu: this table shifted by mu
@@ -387,7 +386,7 @@ class LaurentSeries:
             items = [(e[:i] + (-mu[i],) + e[i + 1 :], c2) for e, c2 in items if e[i] == -1 - mu[i]]
         _, shift = _kernel_code(len(self.vars))
         coeffs = shift(items, mu, c, lo, hi, inside)
-        return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi, boxed=True)
+        return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi)
 
     def clipped(self, window: Window) -> "LaurentSeries":
         """Restrict accuracy to the window (coefficients outside are dropped)."""
@@ -396,7 +395,7 @@ class LaurentSeries:
         le = operator.le
         coeffs = {e: c for e, c in self.coeffs.items()
                   if all(map(le, acc_lo, e)) and all(map(le, e, acc_hi))}
-        return LaurentSeries(self.vars, coeffs, self.sup_lo, self.sup_hi, acc_lo, acc_hi, boxed=True)
+        return LaurentSeries(self.vars, coeffs, self.sup_lo, self.sup_hi, acc_lo, acc_hi)
 
     # -- powers ---------------------------------------------------------------
 
@@ -504,7 +503,7 @@ class LaurentSeries:
         for i in range(first, last + 1):  # C(e,i) and u^i by recurrence
             coeffs[exp] = _exact(scale * b * power)
             b, power, exp = b * (e - i) // (i + 1), power * u, tuple(map(operator.add, exp, m))
-        return LaurentSeries(vars, coeffs, lead, sup_hi, acc_lo, acc_hi, boxed=True)
+        return LaurentSeries(vars, coeffs, lead, sup_hi, acc_lo, acc_hi)
 
 
 @functools.lru_cache(maxsize=64)
@@ -533,7 +532,7 @@ def res(s: LaurentSeries, var: str) -> LaurentSeries:
     if boxes is None:
         return LaurentSeries.zero(s.vars)
     coeffs = {e[:i] + (0,) + e[i + 1 :]: c for e, c in s.coeffs.items() if e[i] == -1}
-    return LaurentSeries(s.vars, coeffs, *boxes, boxed=True)
+    return LaurentSeries(s.vars, coeffs, *boxes)
 
 
 def _residue_boxes(vars, i: int, sup_lo, sup_hi, acc_lo, acc_hi):

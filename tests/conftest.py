@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from binomid import verify
+from binomid import proofs, verify
 from binomid.catalog import load_builtin
 from binomid.model import CompiledIdentity, Identity
+from binomid.resexpr import EvalContext, evaluate, parse_resexpr
 from binomid.series import first_difference
 
 
@@ -64,6 +65,18 @@ def comb_oracle(n: int, k: int) -> int:
 def series_equal(a, b) -> bool:
     """No coefficient that both series know differs."""
     return first_difference(a, b) is None
+
+
+def series_expand(text, window, env=None):
+    """A formal expression expanded into a LaurentSeries, exact in the window."""
+    ctx = EvalContext(tuple(window), dict(window), 2, dict(env or {}), {})
+    return evaluate(parse_resexpr(text), ctx)
+
+
+def check_step(script, index, instance, window):
+    """Step `index` of a script checked at one instance, with a memo of its own."""
+    ctx = proofs._context(script, instance, window, {})
+    return proofs._check_step_in_context(script, index, ctx)
 
 
 def apply_env(substitution, env) -> dict:

@@ -19,11 +19,10 @@ from binomid.model import (
     canonicalize,
     structurally_equal,
 )
-from binomid.resexpr import series_expand
 from binomid.series import LaurentSeries, first_difference, geometric_collapse
 from binomid.verify import GridSpec, fuzz, verify_grid
 
-from conftest import series_equal
+from conftest import series_equal, series_expand
 
 PAPER_IDENTITIES = ["chugen", "chu2gen"] + [f"eq{i}" for i in range(1, 15)]
 LITERATURE = [

@@ -1,7 +1,11 @@
+import json
+from importlib import resources
+
 import pytest
 
 from binomid.catalog import (
     CatalogError,
+    _load,
     chained_form,
     check_specialization,
     load_builtin,
@@ -73,6 +77,18 @@ def test_load_rejects_corrupt_catalog(tmp_path):
         load_catalog_file(bad)
 
 
+@pytest.mark.parametrize("op", ["trinomial_revision", "no_such_rule"])
+def test_load_rejects_unknown_chain_op(op):
+    data = resources.files("binomid").joinpath("data")
+    claims = json.loads(data.joinpath("claims.json").read_text(encoding="utf-8"))
+    stanley1 = next(c for c in claims["claims"] if c["name"] == "stanley1")
+    stanley1["chain"][0]["op"] = op
+    scripts = [json.loads(data.joinpath(name).read_text(encoding="utf-8"))
+               for name in ("proof_eq1.json", "proof_eq2.json")]
+    with pytest.raises(CatalogError, match=f"unknown claim-chain op '{op}'"):
+        _load(data.joinpath("catalog.bid").read_text(encoding="utf-8"), claims, scripts)
+
+
 def test_load_user_catalog(tmp_path):
     path = tmp_path / "user.bid"
     path.write_text(
@@ -141,8 +157,8 @@ def test_stanley_chains_reach_displayed_intermediate(catalog):
 
 
 def test_stanley_chains_reach_same_canonical_form(catalog):
-    one = chained_form(catalog, catalog.claim("stanley1"), include_post=False)
-    two = chained_form(catalog, catalog.claim("stanley2"), include_post=False)
+    one, two = (canonicalize(apply_chain(catalog.identity(name), catalog.claim(name).chain))
+                for name in ("stanley1", "stanley2"))
     assert structurally_equal(one, two)
 
 

@@ -19,7 +19,6 @@ from binomid.model import (
     eval_side,
     rewrite_lower_symmetry,
     rewrite_second_symmetry,
-    rewrite_trinomial_revision,
     rewrite_upper_negation,
     structurally_equal,
     substitute,
@@ -191,7 +190,7 @@ def test_substitute_requires_all_params(catalog):
     from binomid.model import SubstitutionError
 
     with pytest.raises(SubstitutionError):
-        substitute(catalog.identity("chugen"), Substitution.of({"a": lin("1")}), "x")
+        substitute(catalog.identity("chugen"), Substitution.of({"a": lin("1")}, ()), "x")
 
 
 def test_substitution_homomorphism_all_claims(catalog):
@@ -219,28 +218,6 @@ def test_substitution_homomorphism_all_claims(catalog):
 
 def random_env(rng, names, lo=-10, hi=10):
     return {v: rng.randint(lo, hi) for v in names}
-
-
-def test_trinomial_revision_shapes():
-    t = parse_term("C(b,n-k)*C(n-k,d)")
-    out, cond = rewrite_trinomial_revision(t, 0, 1)
-    assert out == parse_term("C(b,d)*C(b-d,n-k-d)")
-    assert cond is None
-    t = parse_term("C(a,k)*C(k,c)")
-    out, _ = rewrite_trinomial_revision(t, 0, 1)
-    assert out == parse_term("C(a,c)*C(a-c,k-c)")
-
-
-def test_trinomial_revision_numeric_check():
-    env = {"a": 5, "k": 3, "c": 2}
-    t = parse_term("C(a,k)*C(k,c)")
-    out, _ = rewrite_trinomial_revision(t, 0, 1)
-    assert eval_side(t, env) == eval_side(out, env) == 30
-
-
-def test_trinomial_revision_pattern_mismatch():
-    with pytest.raises(RewriteError):
-        rewrite_trinomial_revision(parse_term("C(a,k)*C(c,k)"), 0, 1)
 
 
 def test_upper_negation_example():
@@ -275,7 +252,6 @@ def test_lower_symmetry_example():
 @pytest.mark.parametrize(
     "term_text,apply",
     [
-        ("C(a,k)*C(k,c)", lambda t: rewrite_trinomial_revision(t, 0, 1)),
         ("C(n,k)*C(b,j)", lambda t: rewrite_upper_negation(t, 0)),
         ("(-1)^(j)*C(n,k)*C(b,j)", lambda t: rewrite_upper_negation(t, 1)),
     ],

@@ -3,10 +3,10 @@ import dataclasses
 import pytest
 
 from binomid.dsl import parse_linexpr
-from binomid.proofs import check_step, run_proof_script
+from binomid.proofs import run_proof_script
 from binomid.resexpr import parse_resexpr
 
-from conftest import comb_oracle
+from conftest import check_step, comb_oracle
 
 
 def small_instances(script, hi=2):
@@ -193,14 +193,14 @@ def loaded_scripts(_):
     """In a worker: how many scripts it keeps loaded."""
     from binomid import proofs
 
-    return len(proofs._RECEIVED)
+    return proofs._received.cache_info().currsize
 
 
 def test_a_changed_script_is_never_served_from_a_worker_cache(catalog, monkeypatch, own_workers):
     from binomid import proofs, verify
 
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(proofs, "_SENT", {})
+    proofs._pickled.cache_clear()
     script = catalog.script("proof-eq2")
     envs = small_instances(script, hi=1)[:8]
     first = run_proof_script(script, envs, window=2, jobs=2)
@@ -215,7 +215,7 @@ def test_a_changed_script_is_never_served_from_a_worker_cache(catalog, monkeypat
     for idx in range(proofs._SCRIPTS_KEPT + 1):
         report = run_proof_script(mutate_step(script, idx), envs, window=2, jobs=2)
         assert {f.step for f in report.failures} == {idx}
-    assert len(proofs._SENT) == proofs._SCRIPTS_KEPT
+    assert proofs._pickled.cache_info().currsize == proofs._SCRIPTS_KEPT
     assert all(n <= proofs._SCRIPTS_KEPT for n in verify.shard_map(
         loaded_scripts, 4, 2, lambda shard: None))
 

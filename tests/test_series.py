@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binomid.arith import binomial
-from binomid.resexpr import series_expand
 from binomid.series import (
     DegenerateWindowError,
     DivergentSumError,
@@ -19,7 +18,7 @@ from binomid.series import (
     residue_eval_simple_pole,
 )
 
-from conftest import series_equal
+from conftest import series_equal, series_expand
 
 XYZ = ("x", "y", "z")
 W3 = {"x": (-8, 8), "y": (-8, 8), "z": (-8, 8)}

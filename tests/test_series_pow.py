@@ -43,7 +43,7 @@ def shifted(s, delta):
     coeffs = {tuple(x + y for x, y in zip(e, d)): c for e, c in s.coeffs.items()}
     move = lambda bounds: tuple(b + x for b, x in zip(bounds, d))
     return LaurentSeries(s.vars, coeffs, move(s.sup_lo), move(s.sup_hi),
-                         move(s.acc_lo), move(s.acc_hi), boxed=True)
+                         move(s.acc_lo), move(s.acc_hi))
 
 
 def _oracle_unit_factor(s):

@@ -24,7 +24,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binomid.resexpr import series_expand
 from binomid.series import (
     INF,
     DivergentSumError,
@@ -36,6 +35,7 @@ from binomid.series import (
     res,
 )
 
+from conftest import series_expand
 from test_series import XYZ, products_of_powers
 from test_series_pow import assert_same_series, coefficients, shifted, windows
 
@@ -201,6 +201,9 @@ def test_stored_flags_match_their_definitions(a, b, window, var, e):
             pass
     for s in made:
         assert flags_hold(s), s
+        # every stored coefficient is known: the table lies inside the accuracy box
+        assert all(all(map(operator.le, s.acc_lo, expo)) and all(map(operator.le, expo, s.acc_hi))
+                   for expo in s.coeffs), s
 
 
 def state(s):
