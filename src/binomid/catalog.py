@@ -74,22 +74,19 @@ class Catalog:
     scripts: dict[str, ProofScript]
 
     def identity(self, name: str) -> Identity:
-        if name not in self.identities:
-            known = ", ".join(self.identities)
-            raise CatalogError(f"unknown identity '{name}' (known: {known})")
-        return self.identities[name]
+        return _lookup(self.identities, name, "identity")
 
     def claim(self, name: str) -> SpecializationClaim:
-        if name not in self.claims:
-            known = ", ".join(self.claims)
-            raise CatalogError(f"unknown claim '{name}' (known: {known})")
-        return self.claims[name]
+        return _lookup(self.claims, name, "claim")
 
     def script(self, name: str) -> ProofScript:
-        if name not in self.scripts:
-            known = ", ".join(self.scripts)
-            raise CatalogError(f"unknown proof script '{name}' (known: {known})")
-        return self.scripts[name]
+        return _lookup(self.scripts, name, "proof script")
+
+
+def _lookup(table: dict, name: str, what: str):
+    if name not in table:
+        raise CatalogError(f"unknown {what} '{name}' (known: {', '.join(table)})")
+    return table[name]
 
 
 def _parse_chain_step(raw: dict) -> ChainStep:
@@ -186,22 +183,20 @@ class ClaimResult:
     structural_match: bool
     substituted_form: str
     literature_form: str
-    report: Optional[VerificationReport] = None
+    report: VerificationReport
 
     @property
     def ok(self) -> bool:
-        return self.structural_match and (self.report is None or self.report.ok)
+        return self.structural_match and self.report.ok
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "claim": self.claim,
             "structural": "match" if self.structural_match else "mismatch",
             "substituted_form": self.substituted_form,
             "literature_form": self.literature_form,
+            "verification": self.report.to_json_dict(),
         }
-        if self.report is not None:
-            out["verification"] = self.report.to_json_dict()
-        return out
 
 
 def specialized_form(catalog: Catalog, claim: SpecializationClaim) -> Identity:

@@ -64,7 +64,6 @@ ENGINE_ERRORS = (
 @dataclass(frozen=True)
 class ProofStep:
     kind: str
-    note: str
     before_text: str
     after_text: str
     before: RNode
@@ -125,13 +124,11 @@ def load_script(data: dict, resolve: Callable[[str], Identity]) -> ProofScript:
         kind = raw["kind"]
         if kind == "Recognize":
             mapping = tuple((k, parse_linexpr(v)) for k, v in raw["map"].items())
-            steps.append(
-                ProofStep(kind, raw.get("note", ""), previous_text, "", previous, None, mapping)
-            )
+            steps.append(ProofStep(kind, previous_text, "", previous, None, mapping))
             continue
         after_text = raw["after"]
         after = parse_resexpr(after_text)
-        steps.append(ProofStep(kind, raw.get("note", ""), previous_text, after_text, previous, after))
+        steps.append(ProofStep(kind, previous_text, after_text, previous, after))
         previous_text, previous = after_text, after
     return ProofScript(
         name=data["name"],

@@ -29,20 +29,20 @@ invert two-term bases such as (1+z)^(b-d) and monomials.
 Every product goes through one kernel, `__mul__(other, window, var)`, which
 returns `res((self * other).clipped(window), var)` without forming the pairs
 that the clip or the residue would drop; `a * b` is the call without window
-or residue. Its boxes come from the product's formulas intersected with the
-window, and each left row is tested once against bounds on the right table:
-a row wholly inside the box skips the per-pair test. With `var`, only pairs
-landing on var^-1 are formed. When one factor is an exact single term c*mu
-(most factors in a proof state: monomials, binomial constants), the kernel
-shifts the other table by mu and scales it by c (`_times_term`), with the
-same boxes, filter and errors as the pair loop. Skipping pairs cannot change a box:
-normalization reads the table only to tighten the support of an exact
-series, and a product of exact series already has the tight support sup(a) +
-sup(b), since Laurent polynomials over Q have no zero divisors; a product
-with an inexact factor is inexact. The per-coefficient loops, pairs and
-shift, are generated once per variable count on first use (`_kernel_code`):
-exponents are unpacked into locals and the box is tested with chained
-comparisons.
+or residue. It computes the product's boxes once, in one place: the
+product's formulas intersected with the window, then the residue's. The
+boxes then feed one of two generated per-coefficient loops. When one factor
+is an exact single term c*mu (most factors in a proof state: monomials,
+binomial constants), `shift` moves the other table by mu and scales it by c;
+any other product takes `pairs`, which tests each left row once against
+bounds on the right table, so a row wholly inside the box skips the per-pair
+test. With `var`, only pairs landing on var^-1 are formed. Skipping pairs
+cannot change a box: normalization reads the table only to tighten the
+support of an exact series, and a product of exact series already has the
+tight support sup(a) + sup(b), since Laurent polynomials over Q have no zero
+divisors; a product with an inexact factor is inexact. Both loops are
+generated once per variable count on first use (`_kernel_code`): exponents
+are unpacked into locals and the box is tested with chained comparisons.
 
 No operation changes a series it is given; results are shared freely (the
 proof evaluator's memo holds them across scopes). The series 0 and 1 are
@@ -320,73 +320,61 @@ class LaurentSeries:
     def __mul__(self, other: "LaurentSeries", window: Optional[Window] = None,
                 var: Optional[str] = None) -> "LaurentSeries":
         """`res((self * other).clipped(window), var)`, forming only the pairs
-        that land in the result; `window` and `var` may each be None."""
+        that land in the result; `window` and `var` may each be None. The
+        boxes are computed once here; an exact single-term factor c*mu then
+        takes the generated `shift` loop, any other product the `pairs` loop."""
         self._check_compatible(other)
         i = None if var is None else self._var_index(var)
         if self.is_zero or other.is_zero:
             return self if self.is_zero else other
-        if len(other.coeffs) == 1 and other.is_exact:
-            return self._times_term(other, window, i)
-        if len(self.coeffs) == 1 and self.is_exact:
-            return other._times_term(self, window, i)
-        # a factor not fully known on one side bounds the product's accuracy there
-        lo, hi = [], []
-        for sl, sh, al, ah, tl, th, bl, bh in zip(self.sup_lo, self.sup_hi, self.acc_lo, self.acc_hi,
-                                                 other.sup_lo, other.sup_hi, other.acc_lo, other.acc_hi):
-            hi.append(min(ah + tl if sh > ah else INF, bh + sl if th > bh else INF))
-            lo.append(max(al + th if sl < al else -INF, bl + sh if tl < bl else -INF))
-        if window is not None:
-            win_lo, win_hi = window_box(self.vars, window)
-            lo, hi = map(max, lo, win_lo), map(min, hi, win_hi)
-        lo, hi = tuple(lo), tuple(hi)
-        add = operator.add
-        sup_lo = tuple(map(add, self.sup_lo, other.sup_lo))
-        sup_hi = tuple(map(add, self.sup_hi, other.sup_hi))
-        # the right table lies inside both of its boxes
-        right_lo = tuple(map(max, other.sup_lo, other.acc_lo))
-        right_hi = tuple(map(min, other.sup_hi, other.acc_hi))
-        if i is None:
-            rows = {None: other.coeffs.items()}
-        else:
-            boxes = _residue_boxes(self.vars, i, sup_lo, sup_hi, lo, hi)
-            if boxes is None:
-                return LaurentSeries.zero(self.vars)
-            sup_lo, sup_hi, lo, hi = boxes
-            # a pair lands on var^-1 exactly when e2[var] = -1 - e1[var]
-            rows = {}
-            for e2, c2 in other.coeffs.items():
-                rows.setdefault(-1 - e2[i], []).append((e2[:i] + (0,) + e2[i + 1 :], c2))
-        pairs, _ = _kernel_code(len(self.vars))
-        coeffs = pairs(self.coeffs.items(), rows, i, lo, hi, right_lo, right_hi)
-        return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi)
-
-    def _times_term(self, term: "LaurentSeries", window: Optional[Window], i: Optional[int]):
-        """`__mul__` by an exact single term c*mu: this table shifted by mu
-        and scaled by c, in the boxes the pair loop gives."""
-        ((mu, c),) = term.coeffs.items()
-        add, le = operator.add, operator.le
-        sup_lo, sup_hi = tuple(map(add, self.sup_lo, mu)), tuple(map(add, self.sup_hi, mu))
-        lo, hi = window_box(self.vars, window or {})
-        # the table lies inside both of its boxes: shifted, only the window cuts it
-        if self.is_exact:
-            inside = all(map(le, lo, sup_lo)) and all(map(le, sup_hi, hi))
-        else:
-            lo = tuple(max(w, al + m if sl < al else -INF)
-                       for w, sl, al, m in zip(lo, self.sup_lo, self.acc_lo, mu))
-            hi = tuple(min(w, ah + m if sh > ah else INF)
-                       for w, sh, ah, m in zip(hi, self.sup_hi, self.acc_hi, mu))
-            inside = (all(map(le, lo, map(add, mu, map(max, self.sup_lo, self.acc_lo))))
-                      and all(map(le, map(add, mu, map(min, self.sup_hi, self.acc_hi)), hi)))
-        items = self.coeffs.items()
+        a, b = self, other
+        term = len(b.coeffs) == 1 and b.is_exact
+        if not term and len(a.coeffs) == 1 and a.is_exact:
+            a, b, term = b, a, True  # the exact single term goes on the right
+        vars, add, le = a.vars, operator.add, operator.le
+        sup_lo = tuple(map(add, a.sup_lo, b.sup_lo))
+        sup_hi = tuple(map(add, a.sup_hi, b.sup_hi))
+        n = len(vars)
+        lo, hi = ((-INF,) * n, (INF,) * n) if window is None else window_box(vars, window)
+        if not (a.is_exact and b.is_exact):
+            # a factor not fully known on one side bounds the product's accuracy there
+            lo = tuple(max(w, al + th if sl < al else -INF, bl + sh if tl < bl else -INF)
+                       for w, sl, sh, al, tl, th, bl in zip(lo, a.sup_lo, a.sup_hi, a.acc_lo,
+                                                           b.sup_lo, b.sup_hi, b.acc_lo))
+            hi = tuple(min(w, ah + tl if sh > ah else INF, bh + sl if th > bh else INF)
+                       for w, sl, sh, ah, tl, th, bh in zip(hi, a.sup_lo, a.sup_hi, a.acc_hi,
+                                                           b.sup_lo, b.sup_hi, b.acc_hi))
         if i is not None:
-            boxes = _residue_boxes(self.vars, i, sup_lo, sup_hi, lo, hi)
+            boxes = _residue_boxes(vars, i, sup_lo, sup_hi, lo, hi)
             if boxes is None:
-                return LaurentSeries.zero(self.vars)
+                return LaurentSeries.zero(vars)
             sup_lo, sup_hi, lo, hi = boxes
-            items = [(e[:i] + (-mu[i],) + e[i + 1 :], c2) for e, c2 in items if e[i] == -1 - mu[i]]
-        _, shift = _kernel_code(len(self.vars))
-        coeffs = shift(items, mu, c, lo, hi, inside)
-        return LaurentSeries(self.vars, coeffs, sup_lo, sup_hi, lo, hi)
+        pairs, shift = _kernel_code(n)
+        if term:
+            ((mu, c),) = b.coeffs.items()
+            items = a.coeffs.items()
+            if i is not None:
+                items = [(e[:i] + (-mu[i],) + e[i + 1 :], c2) for e, c2 in items if e[i] == -1 - mu[i]]
+            # the table lies inside both of its boxes: shifted, only the window cuts it
+            if a.is_exact:
+                inside = all(map(le, lo, sup_lo)) and all(map(le, sup_hi, hi))
+            else:
+                inside = (all(map(le, lo, map(add, mu, map(max, a.sup_lo, a.acc_lo))))
+                          and all(map(le, map(add, mu, map(min, a.sup_hi, a.acc_hi)), hi)))
+            coeffs = shift(items, mu, c, lo, hi, inside)
+        else:
+            if i is None:
+                rows = {None: b.coeffs.items()}
+            else:
+                # a pair lands on var^-1 exactly when e2[var] = -1 - e1[var]
+                rows = {}
+                for e2, c2 in b.coeffs.items():
+                    rows.setdefault(-1 - e2[i], []).append((e2[:i] + (0,) + e2[i + 1 :], c2))
+            # the right table lies inside both of its boxes
+            right_lo = tuple(map(max, b.sup_lo, b.acc_lo))
+            right_hi = tuple(map(min, b.sup_hi, b.acc_hi))
+            coeffs = pairs(a.coeffs.items(), rows, i, lo, hi, right_lo, right_hi)
+        return LaurentSeries(vars, coeffs, sup_lo, sup_hi, lo, hi)
 
     def clipped(self, window: Window) -> "LaurentSeries":
         """Restrict accuracy to the window (coefficients outside are dropped)."""

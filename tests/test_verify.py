@@ -1,6 +1,6 @@
 import itertools
 import json
-import multiprocessing
+import multiprocessing.connection
 import os
 import select
 import signal
@@ -327,8 +327,8 @@ def test_cli_run_on_a_broken_pool_is_an_internal_error(capsys, monkeypatch, own_
     assert len(workers) == 2
     # a worker killed from outside, as the system's out-of-memory killer would
     os.kill(workers[0].pid, signal.SIGKILL)
-    workers[0].join(timeout=10)
-    assert not workers[0].is_alive()
+    # the sentinel, not is_alive(): the pool's manager thread may reap the worker first
+    assert multiprocessing.connection.wait([workers[0].sentinel], timeout=10)
     assert main(argv) == 3
     assert "internal error: BrokenProcessPool" in capsys.readouterr().err
     # the broken pool was dropped: the next run starts a new one
