@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -279,3 +281,82 @@ def test_engine_error_in_a_step_is_a_failed_proof(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "prove", "--script", "proof-eq1", "--range", "*=0..0")
     assert code == 1
     assert "FAILURES" in out and "EngineError" in out
+
+
+def without_timings(text):
+    text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
+    return re.sub(r"\(\d+ ms\)", "(0 ms)", text)
+
+
+def with_a_failing_identity(tmp_path, monkeypatch):
+    path = tmp_path / "wrong.bid"
+    path.write_text("identity wrong params(n) :: sum(k,0,n)[C(n,k)] == C(2*n,1)\n")
+    monkeypatch.setenv("BINOMID_CATALOG", str(path))
+    return str(path)
+
+
+def with_a_broken_proof_step(tmp_path, monkeypatch):
+    cat = load_builtin()
+    script = cat.scripts["proof-eq2"]
+    steps = list(script.steps)
+    steps[2] = dataclasses.replace(steps[2], after_text="1", after=parse_resexpr("1"))
+    scripts = {**cat.scripts, script.name: dataclasses.replace(script, steps=tuple(steps))}
+    monkeypatch.setattr("binomid.cli.load_builtin",
+                        lambda: dataclasses.replace(cat, scripts=scripts))
+    return None
+
+
+# Every subcommand in both formats, pinned by a digest of its exit code, stdout
+# and stderr with the timings taken out, so that a change to any report line,
+# JSON shape or stream shows.
+PINNED_OUTPUT = [
+    ("16a44434511705df", None, ("catalog",)),
+    ("c105642a25d49f6e", None, ("catalog", "--format", "json")),
+    ("8206a0146b6cebc3", None, ("catalog", "--identity", "gould")),
+    ("66dfc0d381475041", None, ("catalog", "--identity", "gould", "--format", "json")),
+    ("5e4820c5f7b4af27", None,
+     ("catalog", "--identity", "gould", "--identity", "chugen", "--format", "json")),
+    ("1276983779dd46e1", None, ("verify", "--all", "--range", "*=0..1")),
+    ("38fb5fe4c210a964", None, ("verify", "--all", "--range", "*=0..1", "--format", "json")),
+    ("c91f398b15567ee6", None, ("verify", "--identity", "chugen", "--range", "*=0..2")),
+    ("8b82ee35fb7ee2ec", None,
+     ("verify", "--identity", "chugen", "--range", "*=0..2", "--format", "json")),
+    ("31baea99eabd41a3", None, ("fuzz", "--all", "--trials", "20")),
+    ("3a57ab58b921df60", None, ("fuzz", "--all", "--trials", "20", "--format", "json")),
+    ("cefe30982c9def4c", None, ("fuzz", "--identity", "eq7", "--seed", "1", "--trials", "100")),
+    ("7336a99c61fcc679", None,
+     ("fuzz", "--identity", "eq7", "--seed", "1", "--trials", "100", "--format", "json")),
+    ("9ca0f8db7a8cdbac", None, ("specialize", "--claim", "nanjundiah1")),
+    ("31d1e5d1cd73d9cc", None, ("specialize", "--claim", "nanjundiah1", "--format", "json")),
+    ("cd6d6c2a83612c3d", None, ("specialize", "--all")),
+    ("2a6562f478b4cce3", None, ("specialize", "--all", "--format", "json")),
+    ("479f37987ecac204", None, ("prove", "--all", "--range", "*=0..1")),
+    ("ee3bd5d410b029e0", None, ("prove", "--all", "--range", "*=0..1", "--format", "json")),
+    ("7f55609d023448fa", None,
+     ("prove", "--script", "proof-eq1", "--range", "*=0..1", "--dump-trace")),
+    ("64ccccb153768eb2", None,
+     ("prove", "--script", "proof-eq1", "--range", "*=0..1", "--dump-trace", "--format", "json")),
+    ("b2d9ea78da92c3fb", None, ("check-arith", "--bound", "10")),
+    ("d29be0c4b89e0dfd", None, ("check-arith", "--bound", "10", "--format", "json")),
+    ("0af2f6b3f013353a", with_a_failing_identity,
+     ("verify", "--identity", "wrong", "--range", "*=0..3")),
+    ("0ad40e5c7d260bc4", with_a_failing_identity,
+     ("verify", "--identity", "wrong", "--range", "*=0..3", "--format", "json")),
+    ("976580348ce756f9", with_a_failing_identity,
+     ("fuzz", "--identity", "wrong", "--trials", "30")),
+    ("f4522706a9c229e2", with_a_broken_proof_step,
+     ("prove", "--script", "proof-eq2", "--range", "*=0..1")),
+    ("193cfc5a218beb66", with_a_broken_proof_step,
+     ("prove", "--script", "proof-eq2", "--range", "*=0..1", "--format", "json")),
+]
+
+
+@pytest.mark.parametrize("digest, setup, argv", PINNED_OUTPUT,
+                         ids=[" ".join(argv) for _, _, argv in PINNED_OUTPUT])
+def test_output_is_pinned(capsys, tmp_path, monkeypatch, digest, setup, argv):
+    catalog_path = setup(tmp_path, monkeypatch) if setup else None
+    code, out, err = run_cli(capsys, *argv)
+    if catalog_path:
+        err = err.replace(catalog_path, "<catalog>")
+    seen = f"exit {code}\n--- stdout\n{without_timings(out)}--- stderr\n{without_timings(err)}"
+    assert hashlib.sha256(seen.encode()).hexdigest()[:16] == digest, seen[:2000]
