@@ -1,10 +1,15 @@
 """Command-line front end.
 
-Subcommands: catalog, verify, fuzz, specialize, prove, check-arith.
+Subcommands: catalog, verify, fuzz, specialize, prove, check-arith. Each
+yields one row (JSON report, text lines, passed) per item it checks; `_run`
+builds every row, prints them, and picks the exit code.
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed,
 2 usage or input error (a bad flag value, an unreadable catalog file),
 3 internal error (a bug in binomid, reported with its traceback).
 Reports go to stdout, diagnostics and a JSON run's `--dump-trace` to stderr.
+JSON output is one object when one item is named (or for the catalog
+listing), and a list otherwise, even of one report. A `--range` name must be
+a parameter of some selected item and applies to the items that have it.
 The env var BINOMID_CATALOG overrides the built-in catalog file.
 """
 from __future__ import annotations
@@ -17,7 +22,8 @@ import sys
 import traceback
 
 from .arith import run_invariant_suite
-from .catalog import Catalog, CatalogError, check_specialization, load_builtin, load_catalog_file
+from .catalog import (DEFAULT_GRID_HI, DEFAULT_GRID_LO, Catalog, CatalogError,
+                      check_specialization, load_builtin, load_catalog_file)
 from .proofs import run_proof_script
 from .verify import GridSpec, fuzz, verify_grid
 
@@ -28,9 +34,10 @@ class UsageError(Exception):
     pass
 
 
-def _parse_ranges(specs) -> tuple[dict[str, tuple[int, int]], tuple[int, int] | None]:
-    explicit: dict[str, tuple[int, int]] = {}
-    star = None
+def _grids(items, specs, default: tuple[int, int]) -> list[GridSpec]:
+    """One grid per item from the --range flags, which are checked before any
+    item runs; '*' fills every parameter that no flag names."""
+    ranges: dict[str, tuple[int, int]] = {}
     for spec in specs or ():
         m = _RANGE.match(spec)
         if not m:
@@ -38,22 +45,14 @@ def _parse_ranges(specs) -> tuple[dict[str, tuple[int, int]], tuple[int, int] | 
         name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
         if lo > hi:
             raise UsageError(f"bad range '{spec}': empty interval")
-        if name in explicit or (name == "*" and star is not None):
+        if name in ranges:
             raise UsageError(f"--range given twice for '{name}'")
-        if name == "*":
-            star = (lo, hi)
-        else:
-            explicit[name] = (lo, hi)
-    return explicit, star
-
-
-def _grid_for(params, specs, default=(0, 5)) -> GridSpec:
-    explicit, star = _parse_ranges(specs)
-    unknown = set(explicit) - set(params)
+        ranges[name] = (lo, hi)
+    fill = ranges.pop("*", default)
+    unknown = set(ranges).difference(*(item.params for item in items))
     if unknown:
         raise UsageError(f"range for unknown parameter(s): {', '.join(sorted(unknown))}")
-    fill = star or default
-    return GridSpec.of({p: explicit.get(p, fill) for p in params})
+    return [GridSpec.of({p: ranges.get(p, fill) for p in item.params}) for item in items]
 
 
 def _check_counts(args) -> None:
@@ -80,153 +79,120 @@ def _load_catalog() -> Catalog:
     return load_builtin()
 
 
-def _pick(names, requested, all_flag, what) -> list[str]:
-    if all_flag:
-        return list(names)
-    if not requested:
+def _pick(table: dict, lookup, args, what: str) -> list:
+    if args.all:
+        return list(table.values())
+    if not args.names:
         raise UsageError(f"pick a {what} with --{what} NAME or use --all")
-    for name in requested:
-        if name not in names:
-            raise UsageError(f"unknown {what} '{name}' (valid: {', '.join(names)})")
-    return list(requested)
+    return [lookup(name) for name in args.names]
 
 
-def _emit(reports, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        payload = reports[0] if len(reports) == 1 else reports
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _status(report) -> str:
+    return "ok" if report.ok else f"{len(report.failures)} FAILURES"
 
 
-# -- subcommands -------------------------------------------------------------
+# -- subcommands: each yields one (JSON report, text lines, passed) row per item
 
 
-def _cmd_catalog(args, cat: Catalog) -> int:
+def _cmd_catalog(args, cat: Catalog):
     from .dsl import print_identity
 
-    if args.identity:
-        names = _pick(list(cat.identities), args.identity, False, "identity")
-        reports = [{"identity": n, "text": print_identity(cat.identities[n])} for n in names]
-        _emit(reports, args.format, [r["text"] for r in reports])
-        return 0
-    if args.format == "json":
-        payload = {
-            "identities": [print_identity(i) for i in cat.identities.values()],
-            "claims": [
-                {"name": c.name, "parent": c.parent, "attribution": c.attribution}
-                for c in cat.claims.values()
-            ],
-            "scripts": list(cat.scripts),
-        }
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    print(f"{len(cat.identities)} identities:")
-    for ident in cat.identities.values():
-        print(f"  {ident.name:13s} params({','.join(ident.params)})")
-    print(f"{len(cat.claims)} specialization claims:")
+    if args.names:
+        for ident in map(cat.identity, args.names):
+            text = print_identity(ident)
+            yield {"identity": ident.name, "text": text}, [text], True
+        return
+    lines = [f"{len(cat.identities)} identities:"]
+    lines += [f"  {i.name:13s} params({','.join(i.params)})" for i in cat.identities.values()]
+    lines.append(f"{len(cat.claims)} specialization claims:")
     for c in cat.claims.values():
         chain = f" via a {len(c.chain)}-step rewrite chain" if c.chain else ""
-        print(f"  {c.name:13s} from {c.parent}{chain}  [{c.attribution}]")
-    print(f"{len(cat.scripts)} proof scripts: " + ", ".join(cat.scripts))
-    return 0
+        lines.append(f"  {c.name:13s} from {c.parent}{chain}  [{c.attribution}]")
+    lines.append(f"{len(cat.scripts)} proof scripts: " + ", ".join(cat.scripts))
+    listing = {
+        "identities": [print_identity(i) for i in cat.identities.values()],
+        "claims": [
+            {"name": c.name, "parent": c.parent, "attribution": c.attribution}
+            for c in cat.claims.values()
+        ],
+        "scripts": list(cat.scripts),
+    }
+    yield listing, lines, True
 
 
-def _cmd_verify(args, cat: Catalog) -> int:
-    names = _pick(list(cat.identities), args.identity, args.all, "identity")
-    reports, lines, failed = [], [], False
-    for name in names:
-        ident = cat.identities[name]
-        grid = _grid_for(ident.params, args.range)
+def _cmd_verify(args, cat: Catalog):
+    idents = _pick(cat.identities, cat.identity, args, "identity")
+    default = (DEFAULT_GRID_LO, DEFAULT_GRID_HI)
+    for ident, grid in zip(idents, _grids(idents, args.range, default)):
         report = verify_grid(ident, grid, jobs=args.jobs)
-        reports.append(report.to_json_dict())
-        status = "ok" if report.ok else f"{len(report.failures)} FAILURES"
-        lines.append(
-            f"{name}: {report.instances} instances, {status} ({report.elapsed_ms} ms)"
-        )
-        if not report.ok:
-            failed = True
-            for f in report.failures[:5]:
-                lines.append(f"  env={f.env} lhs={f.lhs} rhs={f.rhs}")
-    _emit(reports, args.format, lines)
-    return 1 if failed else 0
+        lines = [f"{ident.name}: {report.instances} instances, {_status(report)} "
+                 f"({report.elapsed_ms} ms)"]
+        lines += [f"  env={f.env} lhs={f.lhs} rhs={f.rhs}" for f in report.failures[:5]]
+        yield report.to_json_dict(), lines, report.ok
 
 
-def _cmd_fuzz(args, cat: Catalog) -> int:
-    names = _pick(list(cat.identities), args.identity, args.all, "identity")
-    reports, lines, failed = [], [], False
-    for name in names:
-        report = fuzz(cat.identities[name], args.seed, args.trials, args.lo, args.hi)
-        reports.append(report.to_json_dict())
-        status = "ok" if report.ok else f"{len(report.failures)} FAILURES"
-        lines.append(
-            f"{name}: {report.trials} trials in [{args.lo},{args.hi}] seed={args.seed}, "
-            f"{status}, {len(report.exploratory)} exploratory"
-        )
-        failed = failed or not report.ok
-    _emit(reports, args.format, lines)
-    return 1 if failed else 0
+def _cmd_fuzz(args, cat: Catalog):
+    for ident in _pick(cat.identities, cat.identity, args, "identity"):
+        report = fuzz(ident, args.seed, args.trials, args.lo, args.hi)
+        line = (f"{ident.name}: {report.trials} trials in [{args.lo},{args.hi}] "
+                f"seed={args.seed}, {_status(report)}, {len(report.exploratory)} exploratory")
+        yield report.to_json_dict(), [line], report.ok
 
 
-def _cmd_specialize(args, cat: Catalog) -> int:
-    names = _pick(list(cat.claims), args.claim, args.all, "claim")
-    reports, lines, failed = [], [], False
-    for name in names:
-        result = check_specialization(cat, cat.claims[name], jobs=args.jobs)
-        reports.append(result.to_json_dict())
+def _cmd_specialize(args, cat: Catalog):
+    for claim in _pick(cat.claims, cat.claim, args, "claim"):
+        result = check_specialization(cat, claim, jobs=args.jobs)
         verdict = "match" if result.structural_match else "MISMATCH"
-        lines.append(
-            f"{name}: structural verdict \"{verdict}\", "
-            f"{result.report.instances} instances, {len(result.report.failures)} failures"
-        )
+        lines = [f"{claim.name}: structural verdict \"{verdict}\", "
+                 f"{result.report.instances} instances, {len(result.report.failures)} failures"]
         if not result.ok:
-            failed = True
             lines.append(f"  substituted: {result.substituted_form}")
             lines.append(f"  literature:  {result.literature_form}")
-    _emit(reports, args.format, lines)
-    return 1 if failed else 0
+        yield result.to_json_dict(), lines, result.ok
 
 
-def _cmd_prove(args, cat: Catalog) -> int:
-    names = _pick(list(cat.scripts), args.script, args.all, "script")
-    reports, lines, failed = [], [], False
-    for name in names:
-        script = cat.scripts[name]
-        grid = _grid_for(script.params, args.range, default=(0, 3))
-        instances = script.instances(grid.as_dict())
+def _cmd_prove(args, cat: Catalog):
+    scripts = _pick(cat.scripts, cat.script, args, "script")
+    for script, grid in zip(scripts, _grids(scripts, args.range, (0, 3))):
         trace = None
         if args.dump_trace:
             out = sys.stderr if args.format == "json" else None  # JSON owns stdout
-            def trace(label, series, _name=name):
+            def trace(label, series, _name=script.name):
                 print(f"[{_name}] {label}:", file=out)
                 for e, c in series.items():
                     mono = "*".join(f"{v}^{x}" for v, x in zip(series.vars, e) if x != 0) or "1"
                     print(f"    {mono}: {c}", file=out)
-        report = run_proof_script(script, instances, window=args.window, jobs=args.jobs, trace=trace)
-        reports.append(report.to_json_dict())
-        steps = " ".join(
-            f"{k}={n}" for k, n in zip(report.step_kinds, report.step_passes)
-        )
-        status = "ok" if report.ok else f"{len(report.failures)} FAILURES"
-        lines.append(f"{name}: {report.instances} instances, {status} ({report.elapsed_ms} ms)")
-        lines.append(f"  per-step passes: {steps}")
-        if not report.ok:
-            failed = True
-            for f in report.failures[:5]:
-                lines.append(f"  step {f.step} ({f.kind}) at {f.instance}: {f.message}")
-    _emit(reports, args.format, lines)
-    return 1 if failed else 0
+        report = run_proof_script(script, script.instances(grid.as_dict()), window=args.window,
+                                  jobs=args.jobs, trace=trace)
+        steps = " ".join(f"{k}={n}" for k, n in zip(report.step_kinds, report.step_passes))
+        lines = [f"{script.name}: {report.instances} instances, {_status(report)} "
+                 f"({report.elapsed_ms} ms)", f"  per-step passes: {steps}"]
+        lines += [f"  step {f.step} ({f.kind}) at {f.instance}: {f.message}"
+                  for f in report.failures[:5]]
+        yield report.to_json_dict(), lines, report.ok
 
 
-def _cmd_check_arith(args, _cat) -> int:
-    reports, lines = [], []
+def _cmd_check_arith(args, _cat):
     for name, cases, bad in run_invariant_suite(args.bound):
-        reports.append({"invariant": name, "cases": cases, "violations": len(bad)})
         mark = "FAIL" if bad else "ok  "
-        lines.append(f"{mark} {name}: {cases} cases" + (f", first violation {bad[0]}" if bad else ""))
-    _emit(reports, args.format, lines)
-    return 1 if any(r["violations"] for r in reports) else 0
+        line = f"{mark} {name}: {cases} cases" + (f", first violation {bad[0]}" if bad else "")
+        yield {"invariant": name, "cases": cases, "violations": len(bad)}, [line], not bad
+
+
+def _run(args) -> int:
+    """Run the subcommand over every item, print its rows, and return 1 if a
+    check failed. No row is printed before every row is built, so a run that
+    stops on an error prints no report."""
+    rows = list(args.run(args, _load_catalog()))
+    if args.format == "text":
+        for _, lines, _ in rows:
+            for line in lines:
+                print(line)
+    else:
+        reports = [report for report, _, _ in rows]
+        one = not args.all and len(args.names or ()) <= 1  # one item named, or the listing
+        print(json.dumps(reports[0] if one else reports, sort_keys=True))
+    return 0 if all(passed for _, _, passed in rows) else 1
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -239,39 +205,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, help, select=None, all_flag=True):
+        p = sub.add_parser(name, help=help)
+        # check-arith, which names no items, always runs its whole suite
+        p.set_defaults(run=run, names=None, all=select is None)
+        if select:
+            p.add_argument(f"--{select}", action="append", dest="names", metavar="NAME")
+            if all_flag:
+                p.add_argument("--all", action="store_true")
+        return p
+
     def common(p, jobs=True):
         p.add_argument("--format", choices=("text", "json"), default="text")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, metavar="N")
 
-    p = sub.add_parser("catalog", help="list or print catalog entries")
-    p.add_argument("--identity", action="append", metavar="NAME")
+    p = command("catalog", _cmd_catalog, "list or print catalog entries", "identity",
+                all_flag=False)
     common(p, jobs=False)
 
-    p = sub.add_parser("verify", help="exhaustively verify identities on a grid")
-    p.add_argument("--identity", action="append", metavar="NAME")
-    p.add_argument("--all", action="store_true")
+    p = command("verify", _cmd_verify, "exhaustively verify identities on a grid", "identity")
     p.add_argument("--range", action="append", metavar="NAME=LO..HI",
-                   help="parameter range; '*=lo..hi' fills the rest (default 0..5)")
+                   help="parameter range; '*=lo..hi' fills the rest "
+                        f"(default {DEFAULT_GRID_LO}..{DEFAULT_GRID_HI})")
     common(p)
 
-    p = sub.add_parser("fuzz", help="randomized verification with a fixed seed")
-    p.add_argument("--identity", action="append", metavar="NAME")
-    p.add_argument("--all", action="store_true")
+    p = command("fuzz", _cmd_fuzz, "randomized verification with a fixed seed", "identity")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--lo", type=int, default=-5)
     p.add_argument("--hi", type=int, default=5)
     common(p, jobs=False)
 
-    p = sub.add_parser("specialize", help="certify literature specialization claims")
-    p.add_argument("--claim", action="append", metavar="NAME")
-    p.add_argument("--all", action="store_true")
+    p = command("specialize", _cmd_specialize, "certify literature specialization claims",
+                "claim")
     common(p)
 
-    p = sub.add_parser("prove", help="run the integral-representation proof scripts")
-    p.add_argument("--script", action="append", metavar="NAME")
-    p.add_argument("--all", action="store_true")
+    p = command("prove", _cmd_prove, "run the integral-representation proof scripts", "script")
     p.add_argument("--range", action="append", metavar="NAME=LO..HI",
                    help="instance ranges (default 0..3)")
     p.add_argument("--window", type=int, default=2)
@@ -279,20 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print every intermediate coefficient table")
     common(p)
 
-    p = sub.add_parser("check-arith", help="run the arithmetic kernel invariant suite")
+    p = command("check-arith", _cmd_check_arith, "run the arithmetic kernel invariant suite")
     p.add_argument("--bound", type=int, default=30)
     common(p, jobs=False)
     return parser
-
-
-_COMMANDS = {
-    "catalog": _cmd_catalog,
-    "verify": _cmd_verify,
-    "fuzz": _cmd_fuzz,
-    "specialize": _cmd_specialize,
-    "prove": _cmd_prove,
-    "check-arith": _cmd_check_arith,
-}
 
 
 class _ReaderSafeStream:
@@ -324,7 +284,7 @@ def main(argv=None) -> int:
     stderr = sys.stderr = _ReaderSafeStream(sys.stderr)
     try:
         _check_counts(args)
-        return _COMMANDS[args.command](args, _load_catalog())
+        return _run(args)
     except (UsageError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,10 +43,59 @@ def test_verify_unknown_identity_is_usage_error(capsys):
     assert "chugen" in err  # the valid names are listed
 
 
+@pytest.mark.parametrize("argv, message, known", [
+    (("specialize", "--claim", "bogus"), "unknown claim 'bogus'", "nanjundiah1"),
+    (("prove", "--script", "bogus"), "unknown proof script 'bogus'", "proof-eq1"),
+])
+def test_unknown_claim_or_script_is_usage_error(capsys, argv, message, known):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert known in err
+    assert out == ""
+
+
 def test_verify_bad_range_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--identity", "chugen", "--range", "a=5")
     assert code == 2
     assert "bad range" in err
+    code, _, err = run_cli(capsys, "verify", "--identity", "chugen", "--range", "n=3..1")
+    assert code == 2
+    assert "bad range 'n=3..1': empty interval" in err
+
+
+@pytest.mark.parametrize("argv, grids", [
+    (("verify", "--identity", "chugen", "--identity", "chu2gen", "--range", "n=0..2",
+      "--range", "*=0..1"), [{"a": [0, 1], "b": [0, 1], "c": [0, 1], "d": [0, 1], "n": [0, 2]},
+                             {"a": [0, 1], "b": [0, 1], "c": [0, 1], "d": [0, 1], "m": [0, 1]}]),
+    (("prove", "--all", "--range", "b=0..0", "--range", "*=0..1"), None),
+])
+def test_range_applies_to_the_items_that_declare_it(capsys, argv, grids):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert len(reports) == 2
+    if grids:
+        assert [r["grid"] for r in reports] == grids
+    else:  # only proof-eq1 has a b, and b=0..0 leaves 16 of its 28 instances on *=0..1
+        assert [(r["script"], r["instances"]) for r in reports] == [("proof-eq1", 16),
+                                                                   ("proof-eq2", 24)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--all", "--range", "zz=0..1"),
+    ("verify", "--identity", "chugen", "--identity", "eq3", "--range", "m=0..1"),
+    ("prove", "--all", "--range", "zz=0..1"),
+])
+def test_range_no_selected_item_declares_is_refused_before_any_check(capsys, monkeypatch,
+                                                                     argv):
+    ran = []
+    monkeypatch.setattr("binomid.cli.verify_grid", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr("binomid.cli.run_proof_script", lambda *a, **k: ran.append(a))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "range for unknown parameter(s): " in err
+    assert out == "" and ran == []
 
 
 def test_usage_error_without_selection(capsys):
@@ -61,6 +110,19 @@ def test_verify_failure_exit_code(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--identity", "wrong", "--range", "*=0..3")
     assert code == 1
     assert "FAILURES" in out
+
+
+@pytest.mark.parametrize("argv", [("verify", "--all"),
+                                  ("fuzz", "--all", "--trials", "10", "--lo", "0")])
+def test_all_prints_a_list_even_of_one_report(capsys, tmp_path, monkeypatch, argv):
+    path = tmp_path / "one.bid"
+    path.write_text("identity one params(n) :: sum(k,0,n)[C(n,k)*C(n,n-k)] == C(2*n,n)\n")
+    monkeypatch.setenv("BINOMID_CATALOG", str(path))
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert isinstance(reports, list) and len(reports) == 1
+    assert reports[0]["identity"] == "one"
 
 
 def test_catalog_env_override(capsys, tmp_path, monkeypatch):
