@@ -10,7 +10,8 @@ Reports go to stdout, diagnostics and a JSON run's `--dump-trace` to stderr.
 JSON output is one object when one item is named (or for the catalog
 listing), and a list otherwise, even of one report. A `--range` name must be
 a parameter of some selected item and applies to the items that have it.
-The env var BINOMID_CATALOG overrides the built-in catalog file.
+The env var BINOMID_CATALOG overrides the built-in catalog file for every
+subcommand but check-arith, which reads no catalog.
 """
 from __future__ import annotations
 
@@ -183,7 +184,7 @@ def _run(args) -> int:
     """Run the subcommand over every item, print its rows, and return 1 if a
     check failed. No row is printed before every row is built, so a run that
     stops on an error prints no report."""
-    rows = list(args.run(args, _load_catalog()))
+    rows = list(args.run(args, _load_catalog() if args.reads_catalog else None))
     if args.format == "text":
         for _, lines, _ in rows:
             for line in lines:
@@ -207,8 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, run, help, select=None, all_flag=True):
         p = sub.add_parser(name, help=help)
-        # check-arith, which names no items, always runs its whole suite
-        p.set_defaults(run=run, names=None, all=select is None)
+        # check-arith, which names no items, always runs its whole suite and
+        # reads no catalog
+        p.set_defaults(run=run, names=None, all=select is None, reads_catalog=select is not None)
         if select:
             p.add_argument(f"--{select}", action="append", dest="names", metavar="NAME")
             if all_flag:

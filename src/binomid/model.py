@@ -9,6 +9,8 @@ evaluator, runs two Python functions generated from an identity's AST. Their
 code objects are compiled once and cached per (lhs, rhs, constraints, names
 in scope), and hold no state; each `CompiledIdentity` execs them into its own
 namespace with its own binomial memo, and belongs to the caller that built it.
+The memo holds one row k -> C(n, k) per upper argument n; a row whose n is
+fixed in the summation loop is fetched once, before the loop.
 """
 from __future__ import annotations
 
@@ -260,10 +262,16 @@ class EvalResult:
 # The names in scope become the locals v0, v1, ... in declared order and the
 # bound variable the next one; each affine expression is written out inline
 # over those locals and int literals, so no name or text from a catalog
-# reaches the source. Binomials go through a memo dict owned by each compiled
-# identity: across a grid the same (n, k) pairs recur constantly. Compiling
-# the source costs far more than running it once, so the code objects (never
-# the functions, whose globals hold a memo) are cached per (lhs, rhs,
+# reaches the source. Binomials go through a memo owned by each compiled
+# identity, since across a grid the same (n, k) pairs recur constantly. The
+# memo is keyed by n: `cache[n]` is the row of n, a dict k -> C(n, k) filled
+# on first lookup, and a factor is read as `cache[n][k]`. In the summation
+# loop, a factor whose upper argument does not mention the bound variable has
+# its row fetched once, before the loop (`r0 = cache[v0]`), and is read as
+# `r0[v5]` inside it; fetching a row computes nothing, so the zero
+# short-circuit still decides which pairs are computed. Compiling the source
+# costs far more than running it once, so the code objects (never the
+# functions, whose globals hold a memo) are cached per (lhs, rhs,
 # constraints, names in scope). The memo calls the `binomial` this module
 # holds when the identity is compiled, so a rebound `model.binomial` (as the
 # benchmark tracer installs) sees every computed pair.
@@ -272,14 +280,14 @@ _CODE_CACHE_SIZE = 256
 
 
 class _Memo(dict):
-    """(n, k) -> binomial(n, k), computed on the first lookup of the pair."""
+    """key -> make(key), made on the first lookup of the key."""
 
-    def __init__(self, binomial):
+    def __init__(self, make):
         super().__init__()
-        self.binomial = binomial
+        self.make = make
 
     def __missing__(self, key):
-        value = self[key] = self.binomial(*key)
+        value = self[key] = self.make(key)
         return value
 
 
@@ -294,10 +302,14 @@ def _lin(e: LinExpr, slot: Mapping[str, str]) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def _term_lines(t: Term, slot: Mapping[str, str]) -> list[str]:
-    """Statements leaving the term's value in t; no factor after a zero is looked up."""
+def _term_lines(t: Term, slot: Mapping[str, str], rows: Mapping[str, str]) -> list[str]:
+    """Statements leaving the term's value in t; no factor after a zero is looked up.
+    `rows` maps the source of an upper argument to the local holding its row."""
     sign = _lin(t.sign_exponent, slot) if t.sign_exponent is not None else None
-    keys = [f"cache[{_lin(f.upper, slot)}, {_lin(f.lower, slot)}]" for f in t.factors]
+    keys = []
+    for f in t.factors:
+        upper = _lin(f.upper, slot)
+        keys.append(f"{rows.get(upper) or f'cache[{upper}]'}[{_lin(f.lower, slot)}]")
     lines = [f"t = {keys[0]}" if keys else "t = 1"] + [f"if t: t *= {key}" for key in keys[1:]]
     if sign is not None:
         lines.append(f"if t and ({sign}) % 2: t = -t")
@@ -309,14 +321,18 @@ def _evaluator_code(lhs: Side, rhs: Term, constraints: tuple[LinExpr, ...], name
     """Source and code object defining `evaluate` and `admissible` over `vals`."""
     slot = {p: f"v{i}" for i, p in enumerate(names)}
     unpack = f"[{', '.join(slot.values())}] = vals"
-    rhs_lines = _term_lines(rhs, slot)
+    rhs_lines = _term_lines(rhs, slot, {})
     bv = lhs.bound_var if isinstance(lhs, SumExpr) else None
     if bv is None:
-        lhs_lines = _term_lines(lhs, slot) + ["lhs = t"]
+        lhs_lines = _term_lines(lhs, slot, {}) + ["lhs = t"]
     else:
         loop = f"for v{len(names)} in range({_lin(lhs.lower, slot)}, {_lin(lhs.upper, slot)} + 1):"
         slot = {**slot, bv: f"v{len(names)}"}
-        lhs_lines = ["lhs = 0", loop] + ["    " + line for line in _term_lines(lhs.body, slot)] + ["    lhs += t"]
+        fixed = [_lin(f.upper, slot) for f in lhs.body.factors if bv not in f.upper.variables()]
+        rows = {upper: f"r{i}" for i, upper in enumerate(dict.fromkeys(fixed))}
+        lhs_lines = (["lhs = 0"] + [f"{row} = cache[{upper}]" for upper, row in rows.items()]
+                     + [loop] + ["    " + line for line in _term_lines(lhs.body, slot, rows)]
+                     + ["    lhs += t"])
     checks, pointwise = [], []
     for c in constraints:
         (pointwise if bv in c.variables() else checks).append(f"if {_lin(c, slot)} < 0: return False")
@@ -343,8 +359,10 @@ class CompiledIdentity:
     """
 
     def __init__(self, ident: Identity):
+        self.params = ident.params
         self.source, code = _evaluator_code(ident.lhs, ident.rhs, ident.constraints, ident.params)
-        namespace = {"cache": _Memo(binomial)}
+        computed = binomial  # the rows keep the binomial of this moment
+        namespace = {"cache": _Memo(lambda n: _Memo(functools.partial(computed, n)))}
         exec(code, namespace)
         # popped, so the namespace (the functions' globals) holds no reference
         # cycle and the memo is freed with this object, not by the collector
@@ -352,24 +370,35 @@ class CompiledIdentity:
         self.admissible = namespace.pop("admissible")
 
 
-def _compiled_at(ident: Identity, env: Mapping[str, int]) -> tuple[CompiledIdentity, list[int]]:
-    """The identity compiled with every name of env in scope, and env's values."""
-    names = tuple(env)
-    compiled = CompiledIdentity(Identity(ident.name, names, ident.lhs, ident.rhs, ident.constraints))
-    return compiled, [env[n] for n in names]
+def _compiled_at(ident: Identity, env: Mapping[str, int], kept: Optional[dict]):
+    """The identity compiled with every name of env in scope, and env's values
+    in the order it was compiled with. An evaluator in `kept` (if given) is
+    reused, else the new one is kept there, so every env of one `kept` must
+    bind the names of the first."""
+    compiled = None if kept is None else kept.get(ident)
+    if compiled is None:
+        names = tuple(env)
+        compiled = CompiledIdentity(Identity(ident.name, names, ident.lhs, ident.rhs, ident.constraints))
+        if kept is not None:
+            kept[ident] = compiled
+    return compiled, [env[n] for n in compiled.params]
 
 
-def eval_side(side: Side, env: Mapping[str, int]) -> int:
-    compiled, vals = _compiled_at(Identity("side", (), side, Term()), env)
+def eval_side(side: Side, env: Mapping[str, int], kept: Optional[dict] = None) -> int:
+    """The side's value at env; `kept` as for `eval_identity`."""
+    compiled, vals = _compiled_at(Identity("side", (), side, Term()), env, kept)
     return compiled.evaluate(vals)[0]
 
 
-def eval_identity(ident: Identity, env: Mapping[str, int]) -> EvalResult:
-    """Evaluate both sides exactly; raises on unbound params or violated constraints."""
+def eval_identity(ident: Identity, env: Mapping[str, int], kept: Optional[dict] = None) -> EvalResult:
+    """Evaluate both sides exactly; raises on unbound params or violated constraints.
+
+    `kept`, a dict, keeps the compiled evaluators between calls whose env
+    binds the same names (as at every instance of a proof script)."""
     for p in ident.params:
         if p not in env:
             raise EvalError(f"identity '{ident.name}': parameter '{p}' not bound")
-    compiled, vals = _compiled_at(ident, env)
+    compiled, vals = _compiled_at(ident, env, kept)
     if not compiled.admissible(vals):
         raise ConstraintError(f"identity '{ident.name}': constraints violated at {dict(env)}")
     return EvalResult(*compiled.evaluate(vals))

@@ -311,6 +311,16 @@ def test_unreadable_catalog_file_is_input_error(capsys, tmp_path, monkeypatch, c
     assert "cannot read catalog" in err
 
 
+def test_check_arith_reads_no_catalog(capsys, monkeypatch):
+    monkeypatch.setenv("BINOMID_CATALOG", "/nonexistent.bid")
+    code, out, err = run_cli(capsys, "check-arith", "--bound", "3")
+    assert code == 0 and "pascal" in out
+    assert "using catalog" not in err
+    code, _, err = run_cli(capsys, "verify", "--identity", "chugen")
+    assert code == 2
+    assert "cannot read catalog /nonexistent.bid" in err
+
+
 def test_unparsable_catalog_file_is_input_error(capsys, tmp_path, monkeypatch):
     path = tmp_path / "mine.bid"
     path.write_text("identity sq params(n) :: C(n,²) == C(n,2)\n", encoding="utf-8")

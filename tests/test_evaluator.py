@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from binomid import model
 from binomid.arith import binomial
 from binomid.dsl import parse_identity
 from binomid.model import (
@@ -126,14 +127,16 @@ def test_compiled_evaluator_agrees_with_tree_walk(case):
 
 
 # The generated source names parameters only by slot; these names shadow what
-# it does use (builtins, its locals, its memo and the slot names themselves).
-ODD_NAMES = ("range", "lhs", "v0", "binomial", "cache", "t")
+# it does use (builtins, its locals, its memo, a hoisted row and the slot
+# names themselves).
+ODD_NAMES = ("range", "lhs", "v0", "binomial", "cache", "t", "r0")
 # sorted alike (and before the bound variable z), so each LinExpr lists its
 # terms in the same order
 NEUTRAL_NAMES = tuple(f"xq{sorted(ODD_NAMES).index(name)}" for name in ODD_NAMES)
 ODD_TEMPLATE = (
-    "identity odd params({0}, {1}, {2}, {3}, {4}, {5}) require {1}-{2}>=0, {0}-z>=0 :: "
-    "sum(z,{5},{1})[(-1)^(z+{4})*C({1},z)*C({0}+z,{3})*C({2},z-{5})] == (-1)^({0})*C({2}+{5},{0})"
+    "identity odd params({0}, {1}, {2}, {3}, {4}, {5}, {6}) require {1}-{2}>=0, {0}-z>=0 :: "
+    "sum(z,{5},{1})[(-1)^(z+{4})*C({1},z)*C({0}+z,{3})*C({2},z-{5})*C({6},{3}-z)] "
+    "== (-1)^({0})*C({2}+{5},{0})"
 )
 
 
@@ -172,3 +175,54 @@ def test_unbound_name_raises_at_every_compile():
         with pytest.raises(EvalError, match="'q'"):
             eval_side(side, {"n": 2})
     assert eval_side(side, {"n": 2, "q": 1}) == 2
+
+
+# The bound variable k in the upper argument only, in the lower only, in both
+# and in neither; two factors share the row of n; the range is empty where m > n+p.
+HOISTED = parse_identity(
+    "identity h params(n, m, p) :: "
+    "sum(k,m,n+p)[(-1)^(k+p)*C(n,k)*C(k+m,p)*C(n+k,k-m)*C(m-p,n)*C(n,k-1)] == C(n,m)*C(m,p)"
+)
+SMALL = [dict(zip(("n", "m", "p"), point)) for point in itertools.product(range(-3, 4), repeat=3)]
+
+
+def test_rows_fixed_in_the_loop_are_fetched_once_before_it():
+    source = CompiledIdentity(HOISTED).source
+    assert "r0 = cache[v0]" in source and "r1 = cache[v1 - v2]" in source
+    assert "r2" not in source
+    assert any(env["m"] > env["n"] + env["p"] for env in SMALL)
+    for env in SMALL:
+        assert evaluated(HOISTED, env) == outcome(oracle_identity, HOISTED, env)
+        assert eval_side(HOISTED.lhs, env) == oracle_side(HOISTED.lhs, env)
+
+
+def looked_up(t: Term, env, short_circuit: bool) -> list:
+    """The (n, k) pairs a term's factors name, up to its first zero factor if short_circuit."""
+    pairs = []
+    for f in t.factors:
+        pairs.append((f.upper.evaluate(env), f.lower.evaluate(env)))
+        if short_circuit and binomial(*pairs[-1]) == 0:
+            break
+    return pairs
+
+
+def test_a_rebound_binomial_sees_each_needed_pair_once(monkeypatch):
+    seen = []
+
+    def counted(n, k):
+        seen.append((n, k))
+        return binomial(n, k)
+
+    monkeypatch.setattr(model, "binomial", counted)
+    compiled = CompiledIdentity(HOISTED)
+    needed, named = set(), set()
+    for env in SMALL:
+        compiled.evaluate([env["n"], env["m"], env["p"]])
+        terms = [(HOISTED.rhs, env)] + [(HOISTED.lhs.body, {**env, "k": k})
+                                       for k in range(env["m"], env["n"] + env["p"] + 1)]
+        for t, at in terms:
+            needed.update(looked_up(t, at, True))
+            named.update(looked_up(t, at, False))
+    assert len(seen) == len(set(seen))
+    assert set(seen) == needed
+    assert needed < named  # some pairs are named only after a zero factor

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import pytest
 
@@ -187,6 +188,21 @@ def test_run_is_deterministic_across_jobs(catalog):
     a = run_proof_script(script, envs, window=2, jobs=1)
     b = run_proof_script(script, envs, window=2, jobs=4)
     assert a.canonical_json() == b.canonical_json()
+
+
+def test_a_script_ships_to_a_worker_after_an_in_process_run(catalog, monkeypatch, own_workers):
+    from binomid import proofs, verify
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    proofs._pickled.cache_clear()
+    script = dataclasses.replace(catalog.script("proof-eq1"))  # a fresh object, nothing cached
+    envs = small_instances(script, hi=1)[:6]
+    serial = run_proof_script(script, envs, window=2)
+    assert serial.ok and script.evaluators  # the run kept the evaluators of its checks
+    assert "evaluators" not in vars(pickle.loads(pickle.dumps(script)))
+    sharded = run_proof_script(script, envs, window=2, jobs=2)
+    assert own_workers.pool is not None
+    assert sharded.canonical_json() == serial.canonical_json()
 
 
 def loaded_scripts(_):
