@@ -2,7 +2,10 @@
 
 The digests are sha256 over the newline-joined `canonical_json` of every
 report, in catalog order. Any change to what the evaluator, the claim
-certification or the series engine reports shows up here. The `fuzz` digest
+certification or the series engine reports shows up here. The negative-range
+`verify` digest covers every identity over -3..3, where upper arguments go
+negative, summation ranges go empty and the identities that hold only for
+nonnegative parameters fail with their lhs and rhs values. The `fuzz` digest
 covers seeded samples of every identity over -5..5, where arguments go
 negative and many points are inadmissible (exploratory failures). The `prove`
 digests cover both scripts on small grids at three windows, and the report of
@@ -19,6 +22,7 @@ from binomid.verify import GridSpec, fuzz, verify_grid
 from test_proofs import mutate_step
 
 VERIFY_ALL_SHA256 = "f89f53f18321cfc42e2148f72c2a892075f9b6430e52c462c921f98fe27003a8"
+VERIFY_ALL_NEG_SHA256 = "80551a4fbb8e26344fabedfd916fa4d8a74e5c6f2c91f82b42deb1fe0a092cd7"
 SPECIALIZE_ALL_SHA256 = "1ff8edbad3f40ac181c4aefae3923e1481b85d758f691f4937384fa622e45a6e"
 FUZZ_SHA256 = "6ac3a11b0c91c5b115853dd6b07d2feb145db1659fc7b3e941e3685eedd9b09c"
 PROVE_0_2_WINDOW_2_SHA256 = "78e4dae78d76d932c620fdc7d66f1203722c33210b59c21da41bcf14174a63f0"
@@ -37,6 +41,12 @@ def test_verify_all_report_is_pinned(catalog):
         for ident in catalog.identities.values()
     ]
     assert _digest(blobs) == VERIFY_ALL_SHA256
+
+
+def test_verify_all_report_over_negative_values_is_pinned(catalog):
+    reports = [verify_grid(ident, GridSpec.uniform(ident.params, -3, 3)) for ident in catalog.identities.values()]
+    assert sum(not report.ok for report in reports) == 13
+    assert _digest(report.canonical_json() for report in reports) == VERIFY_ALL_NEG_SHA256
 
 
 def test_specialize_all_report_is_pinned(catalog):
