@@ -10,7 +10,9 @@ code objects are compiled once and cached per (lhs, rhs, constraints, names
 in scope), and hold no state; each `CompiledIdentity` execs them into its own
 namespace with its own binomial memo, and belongs to the caller that built it.
 The memo holds one row k -> C(n, k) per upper argument n; a row whose n is
-fixed in the summation loop is fetched once, before the loop.
+fixed in the summation loop is fetched once, before the loop. The loop runs
+only over the indices where every factor can be nonzero: C(u, l) = 0 when
+l < 0, and when 0 <= u < l.
 """
 from __future__ import annotations
 
@@ -275,6 +277,18 @@ class EvalResult:
 # constraints, names in scope). The memo calls the `binomial` this module
 # holds when the identity is compiled, so a rebound `model.binomial` (as the
 # benchmark tracer installs) sees every computed pair.
+#
+# The summation loop runs over lo..hi, the declared range narrowed by the
+# zero set of the body's factors: C(u, l) = 0 exactly when l < 0 or
+# 0 <= u < l. Write u = d*k + U and l = c*k + L for the bound variable k.
+# Rule 1: when c != 0, l >= 0 bounds k. Rule 2: when c != d and u >= 0 holds
+# over all of lo..hi (tested at the end where u is smallest), l <= u, that is
+# (c - d)*k <= U - L, bounds k. Each bound is an `if e > lo: lo = e` (or
+# `< hi`) statement, with floor division where |c| or |c - d| is not 1. Both
+# rules hold for every integer input, and the bounds only shrink lo..hi, so
+# rule 2's test holds on the final range too: every skipped term is 0. The
+# constraints on k are still checked over the declared range, since they
+# must hold at every declared index, zero terms included.
 
 _CODE_CACHE_SIZE = 256
 
@@ -316,6 +330,41 @@ def _term_lines(t: Term, slot: Mapping[str, str], rows: Mapping[str, str]) -> li
     return lines
 
 
+def _split(e: LinExpr, bv: str) -> tuple[int, LinExpr]:
+    """e as (c, E) with e = c*bv + E."""
+    c = dict(e.coeffs).get(bv, 0)
+    return c, e - LinExpr.var(bv).scaled(c)
+
+
+def _bound(e: LinExpr, bv: str, slot: Mapping[str, str], guard: str = "") -> str:
+    """The statement narrowing lo..hi to the indices where e >= 0; e has
+    a nonzero coefficient c on bv, and e = c*bv + E >= 0 is bv >= ceil(-E/c)
+    when c > 0, bv <= floor(E/-c) when c < 0."""
+    c, rest = _split(e, bv)
+    if c > 0:
+        edge = _lin(-rest, slot) if c == 1 else f"({_lin(ONE.scaled(c - 1) - rest, slot)}) // {c}"
+        return f"if {guard}{edge} > lo: lo = {edge}"
+    edge = _lin(rest, slot) if c == -1 else f"({_lin(rest, slot)}) // {-c}"
+    return f"if {guard}{edge} < hi: hi = {edge}"
+
+
+def _clamp_lines(s: SumExpr, slot: Mapping[str, str]) -> list[str]:
+    """Statements setting lo..hi to the summation range of s, less indices
+    where a factor C(u, l) of the body is 0: where l < 0 or 0 <= u < l."""
+    bv, first, last = s.bound_var, _lin(s.lower, slot), _lin(s.upper, slot)
+    bounds = [f"if {first} > lo: lo = {first}", f"if {last} < hi: hi = {last}"]
+    bounds += [_bound(f.lower, bv, slot) for f in s.body.factors if _split(f.lower, bv)[0]]
+    for f in s.body.factors:
+        d, _ = _split(f.upper, bv)
+        if _split(f.lower, bv)[0] != d:
+            # u is smallest at lo when d > 0, at hi when d < 0; the range
+            # only shrinks, so u >= 0 holds on it from here on
+            smallest = _lin(f.upper, {**slot, bv: "lo" if d > 0 else "hi"})
+            bounds.append(_bound(f.upper - f.lower, bv, slot, f"{smallest} >= 0 and "))
+    # the first two are the declared bounds, which already hold
+    return [f"lo = {first}", f"hi = {last}"] + list(dict.fromkeys(bounds))[2:]
+
+
 @functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
 def _evaluator_code(lhs: Side, rhs: Term, constraints: tuple[LinExpr, ...], names: tuple[str, ...]):
     """Source and code object defining `evaluate` and `admissible` over `vals`."""
@@ -331,7 +380,8 @@ def _evaluator_code(lhs: Side, rhs: Term, constraints: tuple[LinExpr, ...], name
         fixed = [_lin(f.upper, slot) for f in lhs.body.factors if bv not in f.upper.variables()]
         rows = {upper: f"r{i}" for i, upper in enumerate(dict.fromkeys(fixed))}
         lhs_lines = (["lhs = 0"] + [f"{row} = cache[{upper}]" for upper, row in rows.items()]
-                     + [loop] + ["    " + line for line in _term_lines(lhs.body, slot, rows)]
+                     + _clamp_lines(lhs, slot) + [f"for v{len(names)} in range(lo, hi + 1):"]
+                     + ["    " + line for line in _term_lines(lhs.body, slot, rows)]
                      + ["    lhs += t"])
     checks, pointwise = [], []
     for c in constraints:

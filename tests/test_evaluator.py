@@ -5,6 +5,7 @@ the environment dictionary. It is the evaluator binomid used before the
 compiled one became the only one, kept here as an independent reference.
 """
 import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -215,14 +216,92 @@ def test_a_rebound_binomial_sees_each_needed_pair_once(monkeypatch):
 
     monkeypatch.setattr(model, "binomial", counted)
     compiled = CompiledIdentity(HOISTED)
-    needed, named = set(), set()
+    supported, needed, named = set(), set(), set()
     for env in SMALL:
         compiled.evaluate([env["n"], env["m"], env["p"]])
         terms = [(HOISTED.rhs, env)] + [(HOISTED.lhs.body, {**env, "k": k})
                                        for k in range(env["m"], env["n"] + env["p"] + 1)]
         for t, at in terms:
+            pairs = looked_up(t, at, False)
             needed.update(looked_up(t, at, True))
-            named.update(looked_up(t, at, False))
+            named.update(pairs)
+            if all(binomial(*pair) for pair in pairs):
+                supported.update(pairs)
     assert len(seen) == len(set(seen))
-    assert set(seen) == needed
+    # every pair of a nonzero term is computed; none after a zero factor or
+    # outside the declared range, and the clamp skips some zero terms whole
+    assert supported <= set(seen) < needed
     assert needed < named  # some pairs are named only after a zero factor
+
+
+def counting_evaluate(ident):
+    """The `evaluate` of ident's generated source, run with a `range` that
+    adds the number of indices each summation loop visits to visits[0]."""
+    visits = [0]
+
+    def counted_range(lo, stop):
+        visits[0] += max(0, stop - lo)
+        return range(lo, stop)
+
+    namespace = {"cache": model._Memo(lambda n: model._Memo(functools.partial(binomial, n))),
+                 "range": counted_range}
+    exec(CompiledIdentity(ident).source, namespace)
+    return namespace["evaluate"], visits
+
+
+def support_size(s: SumExpr, env) -> int:
+    """The number of indices of the declared range where no factor is 0."""
+    return sum(
+        all(binomial(f.upper.evaluate(at), f.lower.evaluate(at)) for f in s.body.factors)
+        for at in ({**env, s.bound_var: k} for k in range(s.lower.evaluate(env), s.upper.evaluate(env) + 1))
+    )
+
+
+# Each sum is clamped by the zero set of its factors: lower arguments whose
+# bound-variable coefficient is +-2 or +-3, and the bound variable in both
+# arguments with equal and unequal coefficients. Over -4..4 the declared
+# ranges are empty at some points (c4's wherever m > n + 1), upper arguments
+# go negative, and the clamp empties some ranges the declared bounds leave whole.
+CLAMPED = [parse_identity(text) for text in (
+    "identity c1 params(n, m, p) :: sum(k,m-4,n+1)[C(n,2*k-m)*C(p,3*k+m)] == C(n,m)",
+    "identity c2 params(n, m, p) :: sum(k,-5,n+p)[C(n,m-2*k)*C(p,n-3*k)*C(m,k+p)] == C(n,p)",
+    "identity c3 params(n, m, p) :: sum(k,-4,4)[(-1)^(k)*C(n+k,k-m)*C(m-2*k,p-2*k)*C(2*k+n,k+m)] == C(m,p)",
+    "identity c4 params(n, m, p) :: sum(k,m,n+1)[C(m-k,2*k-n)*C(n-3*k,p-k)*C(k-n,3*k-m)] == C(p,n)",
+    "identity c5 params(n, m, p) :: sum(k,n-p,m+p)[C(3*k+p,2*k)*C(p-k,n)*C(k,m)] == C(n+m,p)",
+)]
+# a constraint on the bound variable that fails only at k = n, where
+# C(n-1, k) is 0 once n >= 1: the clamp drops that index, admissible does not
+TOP_ZERO = parse_identity("identity z params(n) require n-1-k>=0 :: sum(k,0,n)[C(n-1,k)] == C(2,n-1)")
+
+
+@pytest.mark.parametrize("ident", CLAMPED + [TOP_ZERO], ids=lambda ident: ident.name)
+def test_clamped_loops_agree_with_tree_walk(ident):
+    evaluate, visits = counting_evaluate(ident)
+    narrowed = emptied = 0
+    for point in itertools.product(range(-4, 5), repeat=len(ident.params)):
+        env = dict(zip(ident.params, point))
+        assert evaluated(ident, env) == outcome(oracle_identity, ident, env)
+        before = visits[0]
+        assert evaluate(list(point))[0] == oracle_side(ident.lhs, env)
+        declared = ident.lhs.upper.evaluate(env) - ident.lhs.lower.evaluate(env) + 1
+        narrowed += visits[0] - before < declared
+        emptied += declared > 0 and visits[0] == before
+    assert narrowed and (emptied or ident is TOP_ZERO)
+
+
+def test_a_constraint_on_the_bound_variable_holds_where_the_clamp_cuts():
+    evaluate, visits = counting_evaluate(TOP_ZERO)
+    assert evaluate([2]) == (2, 2) and visits[0] == 2  # k = 0, 1 of 0..2
+    assert outcome(eval_identity, TOP_ZERO, {"n": 2}) is ConstraintError
+
+
+def test_sum_loops_visit_little_more_than_the_support(catalog):
+    visited = supported = 0
+    for ident in catalog.identities.values():
+        evaluate, visits = counting_evaluate(ident)
+        for point in itertools.product(range(4), repeat=len(ident.params)):
+            evaluate(list(point))
+            supported += support_size(ident.lhs, dict(zip(ident.params, point)))
+        visited += visits[0]
+    # the declared ranges alone visit 7.5 times the support here
+    assert visited <= 1.1 * supported
