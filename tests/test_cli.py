@@ -367,6 +367,14 @@ def with_a_failing_identity(tmp_path, monkeypatch):
     return str(path)
 
 
+def with_an_error_on_line_3(tmp_path, monkeypatch):
+    path = tmp_path / "bad.bid"
+    path.write_text("# one identity, then a bad one\r\nidentity one params(n) :: C(n,0) == C(0,0)\n"
+                    "identity two params(n) ::\tC(n,1) == C(n,\t²)\n", encoding="utf-8")
+    monkeypatch.setenv("BINOMID_CATALOG", str(path))
+    return str(path)
+
+
 def with_a_broken_proof_step(tmp_path, monkeypatch):
     cat = load_builtin()
     script = cat.scripts["proof-eq2"]
@@ -410,6 +418,7 @@ PINNED_OUTPUT = [
      ("prove", "--script", "proof-eq1", "--range", "*=0..1", "--dump-trace", "--format", "json")),
     ("b2d9ea78da92c3fb", None, ("check-arith", "--bound", "10")),
     ("d29be0c4b89e0dfd", None, ("check-arith", "--bound", "10", "--format", "json")),
+    ("97d2a70c9e16c5b7", with_an_error_on_line_3, ("catalog", "--format", "text")),
     ("0af2f6b3f013353a", with_a_failing_identity,
      ("verify", "--identity", "wrong", "--range", "*=0..3")),
     ("0ad40e5c7d260bc4", with_a_failing_identity,

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,3 +236,94 @@ def test_corrupted_text_errors_stay_in_bounds(ident, rng):
         parse_identity(corrupted)
     except ParseError as err:
         assert 0 <= err.span.start.offset <= err.span.end.offset <= len(corrupted)
+
+
+# -- pinned parse results and errors ---------------------------------------------
+
+PARSE_CORPUS_SHA256 = "4c0be2f45b2be65427a8f8ba6c8235fd1cfde32337ed8a1d1f3a8e381b5d52b9"
+
+# the point mutations of the corrupted-text tests above and of test_resexpr, plus
+# line breaks, tabs, comments and the letters and digits the lexer must tell apart
+CORRUPTIONS = ("]", ")", "(", "[", "^", "==", "#", "@", "", "C(", ",", "²", "sum(", "geo",
+               "\t", "\r\n", "\n", "\r", "# note\n", "é", "٣", "x٣", "_", "12", "-", "+",
+               "=", "{", "}", "::", ">=", "*", ":")
+
+
+def _data_text(name):
+    from importlib import resources
+
+    return resources.files("binomid").joinpath("data", name).read_text()
+
+
+def _parse_corpus():
+    """(parser name, text) pairs: pieces of the shipped catalog, identity, proof-state,
+    linexpr and term texts, each with its whitespace varied and up to two point
+    corruptions, from one seed."""
+    import json
+
+    from binomid.resexpr import parse_resexpr
+
+    catalog_lines = _data_text("catalog.bid").split("\n")
+    identities, _ = parse_catalog(_data_text("catalog.bid"))
+    proofs = [json.loads(_data_text(name)) for name in ("proof_eq1.json", "proof_eq2.json")]
+    claims = json.loads(_data_text("claims.json"))["claims"]
+    states = sorted({p["start"] for p in proofs} | {s["after"] for p in proofs for s in p["steps"] if "after" in s})
+    linexprs = sorted(
+        {p["budget"] for p in proofs} | {c for p in proofs for c in p["constraints"]}
+        | {v for p in proofs for v in p["aliases"].values()}
+        | {v for p in proofs for s in p["steps"] for v in s.get("map", {}).values()}
+        | {v for c in claims for step in c.get("chain", []) + c.get("post_chain", [])
+           for v in step.get("map", {}).values()}
+    )
+    terms = sorted({p["carried"] for p in proofs} | {print_term(i.rhs) for i in identities})
+    parsers = {"catalog": parse_catalog, "identity": parse_identity, "resexpr": parse_resexpr,
+               "linexpr": parse_linexpr, "term": parse_term}
+    rng = random.Random(18)
+    corpus = []
+    for _ in range(1200):
+        kind = rng.choice(["catalog", "catalog", "identity", "resexpr", "resexpr", "linexpr", "term"])
+        if kind == "catalog":
+            start = rng.randrange(len(catalog_lines))
+            text = "\n".join(catalog_lines[start:start + rng.randint(1, 4)])
+        else:
+            pool = {"identity": [print_identity(i) for i in identities], "resexpr": states,
+                    "linexpr": linexprs, "term": terms}[kind]
+            text = rng.choice(pool)
+        if rng.random() < 0.3:
+            text = text.replace(" ", "\t")
+        if rng.random() < 0.3:
+            text = text.replace("\n", "\r\n")
+        if rng.random() < 0.3:
+            text = "# leading comment\n" + text + "\n# trailing comment"
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            if text:
+                pos = rng.randrange(len(text))
+                text = text[:pos] + rng.choice(CORRUPTIONS) + text[pos + 1:]
+        corpus.append((parsers[kind], text))
+    return corpus
+
+
+def _parse_outcome(parse, text):
+    try:
+        result = parse(text)
+    except ParseError as err:
+        start, end = err.span.start, err.span.end
+        return (f"error {err} at {start.line}:{start.column}:{start.offset}"
+                f"-{end.line}:{end.column}:{end.offset}")
+    if parse is parse_identity:
+        return print_identity(result)
+    if parse is parse_catalog:
+        identities, specials = result
+        return "; ".join([print_identity(i) for i in identities] + [
+            f"{s.name} from {s.parent} with " + ",".join(f"{k}={v}" for k, v in s.mapping)
+            for s in specials])
+    return repr(result)
+
+
+def test_parse_results_and_errors_are_pinned():
+    # every accepted text's parse and every rejected text's message and full span
+    corpus = _parse_corpus()
+    outcomes = [f"{parse.__name__} {text!r} -> {_parse_outcome(parse, text)}" for parse, text in corpus]
+    assert sum(o.count(" -> error ") for o in outcomes) > 300
+    assert sum(" -> error " not in o for o in outcomes) > 300
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == PARSE_CORPUS_SHA256
