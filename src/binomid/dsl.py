@@ -10,18 +10,27 @@ Grammar (whitespace-insensitive, `#` starts a line comment):
     term       ::= (signfac "*")? binom ("*" binom)*
     signfac    ::= "(" "-" "1" ")" "^" "(" linexpr ")"
     binom      ::= "C" "(" linexpr "," linexpr ")"
-    linexpr    ::= ("-")? linitem (("+"|"-") linitem)*
+    linexpr    ::= ("+"|"-")? linitem (("+"|"-") linitem)*
     linitem    ::= INT ("*" NAME)? | NAME
     specialize ::= "specializes" NAME "from" NAME "with"
                    "{" NAME "=" linexpr ("," NAME "=" linexpr)* "}"
 
+Lexical rules: an INT is a run of the ASCII digits 0-9. A NAME starts with a
+letter (`str.isalpha`) or `_` and goes on with letters, digits (`str.isalnum`)
+or `_`. Spaces, tabs, CR and LF separate tokens, and `#` starts a comment that
+runs to the end of the line. Any other character, `²` or `٣` among them, is an
+unexpected character.
+
 A catalog file is a sequence of identity and specialize declarations. The
-parser is a pure function of its input; every error carries a SourceSpan.
+parser is a pure function of its input. Tokens keep only their offsets; every
+error carries a SourceSpan, whose lines and columns are computed from the text
+when the error is raised.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from .model import (
     BinomFactor,
@@ -34,6 +43,8 @@ from .model import (
 )
 
 RESERVED = {"identity", "params", "require", "sum", "specializes", "from", "with", "C"}
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,15 @@ class SourceSpan:
     def __str__(self) -> str:
         return f"{self.start.line}:{self.start.column}"
 
+    @staticmethod
+    def of(text: str, start: int, end: int) -> "SourceSpan":
+        """The span of text[start:end]; lines and columns count from 1."""
+
+        def pos(offset: int) -> SourcePos:
+            return SourcePos(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset), offset)
+
+        return SourceSpan(pos(start), pos(end))
+
 
 class ParseError(Exception):
     def __init__(self, message: str, span: SourceSpan, expected: tuple[str, ...] = ()):
@@ -61,70 +81,31 @@ class ParseError(Exception):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME, INT, SYM, EOF
     text: str
-    span: SourceSpan
+    start: int
+    end: int
 
 
-_DIGITS = "0123456789"  # str.isdigit also accepts digits int() cannot read, such as '²'
-_SYMBOLS = ("::", "==", ">=", "(", ")", "[", "]", "{", "}", ",", "*", "+", "-", "^", "=")
+# One match per whitespace run, comment or token; only tokens match a named group.
+# INT is ASCII only: str.isdigit also accepts digits int() cannot read, such as '²'.
+# \w is str.isalnum or '_', so tokenize checks that a NAME starts with a letter or '_'.
+_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|(?P<INT>[0-9]+)|(?P<NAME>\w+)"
+                    r"|(?P<SYM>::|==|>=|[-()\[\]{},*+^=])|(?P<BAD>.)")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def pos() -> SourcePos:
-        return SourcePos(line, col, i)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start = pos()
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            tokens.append(Token("INT", word, SourceSpan(start, pos())))
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            tokens.append(Token("NAME", word, SourceSpan(start, pos())))
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                i += len(sym)
-                col += len(sym)
-                tokens.append(Token("SYM", sym, SourceSpan(start, pos())))
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", SourceSpan(start, SourcePos(line, col + 1, i + 1)))
-    end = SourcePos(line, col, i)
-    tokens.append(Token("EOF", "", SourceSpan(end, end)))
+        word, start = m.group(), m.start()
+        if kind == "BAD" or (kind == "NAME" and not (word[0].isalpha() or word[0] == "_")):
+            raise ParseError(f"unexpected character {word[0]!r}", SourceSpan.of(text, start, start + 1))
+        tokens.append(Token(kind, word, start, m.end()))
+    tokens.append(Token("EOF", "", len(text), len(text)))
     return tokens
 
 
@@ -135,13 +116,22 @@ class SpecializeDecl:
     name: str
     parent: str
     mapping: tuple[tuple[str, LinExpr], ...]
-    span: SourceSpan
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+
+    @classmethod
+    def parse_whole(cls, text: str, parse: Callable[..., T], what: str) -> T:
+        """`parse` (a parser method) applied to all of `text`; a token left over is an error."""
+        p = cls(text)
+        result = parse(p)
+        if p.peek().kind != "EOF":
+            raise p.error(f"trailing input after {what}")
+        return result
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -152,10 +142,13 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def span(self, tok: Token) -> SourceSpan:
+        return SourceSpan.of(self.text, tok.start, tok.end)
+
     def error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
         tok = self.peek()
         what = "end of input" if tok.kind == "EOF" else repr(tok.text)
-        return ParseError(f"{message}, found {what}", tok.span, expected)
+        return ParseError(f"{message}, found {what}", self.span(tok), expected)
 
     def expect_sym(self, sym: str) -> Token:
         tok = self.peek()
@@ -183,40 +176,49 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "NAME" and tok.text == word
 
+    def comma_list(self, item: Callable[[], T]) -> list[T]:
+        """item ("," item)*"""
+        items = [item()]
+        while self.at_sym(","):
+            self.next()
+            items.append(item())
+        return items
+
     # -- linexpr ------------------------------------------------------------
 
     def parse_linexpr(self, declared: Optional[set[str]] = None) -> LinExpr:
-        total = LinExpr()
-        sign = 1
-        if self.at_sym("-"):
+        const = 0
+        coeffs: dict[str, int] = {}
+        sign = -1 if self.at_sym("-") else 1
+        if sign < 0 or self.at_sym("+"):
             self.next()
-            sign = -1
-        elif self.at_sym("+"):
-            self.next()
-        total = total + self._linitem(declared).scaled(sign)
-        while self.at_sym("+") or self.at_sym("-"):
+        while True:
+            value, name = self._linitem(declared)
+            if name is None:
+                const += sign * value
+            else:
+                coeffs[name] = coeffs.get(name, 0) + sign * value
+            if not (self.at_sym("+") or self.at_sym("-")):
+                return LinExpr.make(const, coeffs)
             sign = 1 if self.next().text == "+" else -1
-            total = total + self._linitem(declared).scaled(sign)
-        return total
 
-    def _linitem(self, declared: Optional[set[str]]) -> LinExpr:
+    def _linitem(self, declared: Optional[set[str]]) -> tuple[int, Optional[str]]:
+        """(coefficient, variable name or None for a constant)"""
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            value = int(tok.text)
             if self.at_sym("*"):
                 self.next()
-                name = self._var_name(declared)
-                return LinExpr.var(name).scaled(value)
-            return LinExpr(value)
+                return int(tok.text), self._var_name(declared)
+            return int(tok.text), None
         if tok.kind == "NAME":
-            return LinExpr.var(self._var_name(declared))
+            return 1, self._var_name(declared)
         raise self.error("expected integer or variable", ("INT", "identifier"))
 
     def _var_name(self, declared: Optional[set[str]]) -> str:
         tok = self.expect_name("variable")
         if declared is not None and tok.text not in declared:
-            raise ParseError(f"unknown variable '{tok.text}'", tok.span)
+            raise ParseError(f"unknown variable '{tok.text}'", self.span(tok))
         return tok.text
 
     # -- terms and identities -------------------------------------------------
@@ -230,7 +232,7 @@ class _Parser:
         self.expect_sym(")")
         return BinomFactor(upper, lower)
 
-    def parse_term(self, declared: Optional[set[str]]) -> Term:
+    def parse_term(self, declared: Optional[set[str]] = None) -> Term:
         sign = None
         if self.at_sym("("):
             # only a sign factor can start a term with "("
@@ -258,7 +260,7 @@ class _Parser:
             self.expect_sym("(")
             bound = self.expect_name("bound variable")
             if bound.text in declared or bound.text in RESERVED:
-                raise ParseError(f"bound variable '{bound.text}' shadows a parameter", bound.span)
+                raise ParseError(f"bound variable '{bound.text}' shadows a parameter", self.span(bound))
             self.expect_sym(",")
             lower = self.parse_linexpr(declared)
             self.expect_sym(",")
@@ -270,42 +272,39 @@ class _Parser:
             return SumExpr(bound.text, lower, upper, body)
         return self.parse_term(declared)
 
+    def _constraint(self) -> tuple[LinExpr, Token]:
+        """One `linexpr >= 0` clause, with its first token for errors."""
+        at = self.peek()
+        expr = self.parse_linexpr()
+        self.expect_sym(">=")
+        zero = self.peek()
+        if zero.kind != "INT" or zero.text != "0":
+            raise self.error("constraints are of the form expr >= 0", ("'0'",))
+        self.next()
+        return expr, at
+
     def parse_identity_decl(self) -> Identity:
         self.expect_keyword("identity")
         name = self.expect_name("identity name")
         self.expect_keyword("params")
         self.expect_sym("(")
-        params: list[str] = []
         seen: set[str] = set()
-        while True:
+
+        def param() -> str:
             p = self.expect_name("parameter")
             if p.text in RESERVED:
-                raise ParseError(f"'{p.text}' is reserved and cannot be a parameter", p.span)
+                raise ParseError(f"'{p.text}' is reserved and cannot be a parameter", self.span(p))
             if p.text in seen:
-                raise ParseError(f"duplicate parameter '{p.text}'", p.span)
-            params.append(p.text)
+                raise ParseError(f"duplicate parameter '{p.text}'", self.span(p))
             seen.add(p.text)
-            if self.at_sym(","):
-                self.next()
-                continue
-            break
+            return p.text
+
+        params = self.comma_list(param)
         self.expect_sym(")")
-        constraints: list[tuple[LinExpr, SourceSpan]] = []
+        constraints: list[tuple[LinExpr, Token]] = []
         if self.at_name("require"):
             self.next()
-            while True:
-                at = self.peek().span
-                expr = self.parse_linexpr(None)
-                self.expect_sym(">=")
-                zero = self.peek()
-                if zero.kind != "INT" or zero.text != "0":
-                    raise self.error("constraints are of the form expr >= 0", ("'0'",))
-                self.next()
-                constraints.append((expr, at))
-                if self.at_sym(","):
-                    self.next()
-                    continue
-                break
+            constraints = self.comma_list(self._constraint)
         self.expect_sym("::")
         lhs = self.parse_side(seen)
         self.expect_sym("==")
@@ -315,56 +314,42 @@ class _Parser:
         for expr, at in constraints:
             for v in expr.variables():
                 if v not in allowed:
-                    raise ParseError(f"unknown variable '{v}' in constraint", at)
+                    raise ParseError(f"unknown variable '{v}' in constraint", self.span(at))
         return Identity(name.text, tuple(params), lhs, rhs, tuple(c for c, _ in constraints))
 
     def parse_specialize_decl(self) -> SpecializeDecl:
-        start = self.expect_keyword("specializes").span
+        self.expect_keyword("specializes")
         name = self.expect_name("identity name")
         self.expect_keyword("from")
         parent = self.expect_name("identity name")
         self.expect_keyword("with")
         self.expect_sym("{")
-        mapping: list[tuple[str, LinExpr]] = []
         seen: set[str] = set()
-        while True:
+
+        def assignment() -> tuple[str, LinExpr]:
             p = self.expect_name("parameter")
             if p.text in seen:
-                raise ParseError(f"duplicate parameter '{p.text}' in substitution", p.span)
+                raise ParseError(f"duplicate parameter '{p.text}' in substitution", self.span(p))
             seen.add(p.text)
             self.expect_sym("=")
-            mapping.append((p.text, self.parse_linexpr(None)))
-            if self.at_sym(","):
-                self.next()
-                continue
-            break
-        end = self.expect_sym("}").span
-        return SpecializeDecl(name.text, parent.text, tuple(mapping), SourceSpan(start.start, end.end))
+            return p.text, self.parse_linexpr()
+
+        mapping = self.comma_list(assignment)
+        self.expect_sym("}")
+        return SpecializeDecl(name.text, parent.text, tuple(mapping))
 
 
 def parse_identity(text: str) -> Identity:
     """Parse a single identity declaration; the whole input must be consumed."""
-    p = _Parser(text)
-    ident = p.parse_identity_decl()
-    if p.peek().kind != "EOF":
-        raise p.error("trailing input after identity")
-    return ident
+    return _Parser.parse_whole(text, _Parser.parse_identity_decl, "identity")
 
 
 def parse_linexpr(text: str) -> LinExpr:
-    p = _Parser(text)
-    e = p.parse_linexpr(None)
-    if p.peek().kind != "EOF":
-        raise p.error("trailing input after expression")
-    return e
+    return _Parser.parse_whole(text, _Parser.parse_linexpr, "expression")
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.parse_term(None)
-    if p.peek().kind != "EOF":
-        raise p.error("trailing input after term")
-    return t
+    return _Parser.parse_whole(text, _Parser.parse_term, "term")
 
 
 def parse_catalog(text: str) -> tuple[list[Identity], list[SpecializeDecl]]:
@@ -379,10 +364,10 @@ def parse_catalog(text: str) -> tuple[list[Identity], list[SpecializeDecl]]:
     specials: list[SpecializeDecl] = []
     while p.peek().kind != "EOF":
         if p.at_name("identity"):
-            at = p.peek().span
+            at = p.peek()
             ident = p.parse_identity_decl()
             if ident.name in names:
-                raise ParseError(f"duplicate identity name '{ident.name}'", at)
+                raise ParseError(f"duplicate identity name '{ident.name}'", p.span(at))
             names.add(ident.name)
             identities.append(ident)
         elif p.at_name("specializes"):

@@ -95,6 +95,10 @@ class RGeo:
 RNode = Union[RInt, RVar, RBinom, RPow, RProd, RAdd, RSum, RISum, RRes, RGeo]
 
 
+# binder name -> (node class, number of linexpr bounds after the bound variable)
+_BINDERS = {"sum": (RSum, 2), "isum": (RISum, 1), "res": (RRes, 0)}
+
+
 class _Parser(dsl._Parser):
     """The expression grammar on the catalog parser's tokens and linexprs."""
 
@@ -145,50 +149,29 @@ class _Parser(dsl._Parser):
             f = self.parse_binom(None)
             return RBinom(f.upper, f.lower)
         name = self.next().text
-        if name == "sum":
-            self.expect_sym("(")
-            var = self.expect_name().text
-            self.expect_sym(",")
-            lower = self.parse_linexpr()
-            self.expect_sym(",")
-            upper = self.parse_linexpr()
-            self.expect_sym(")")
-            self.expect_sym("[")
-            body = self.expr()
-            self.expect_sym("]")
-            return RSum(var, lower, upper, body)
-        if name == "isum":
-            self.expect_sym("(")
-            var = self.expect_name().text
-            self.expect_sym(",")
-            bound = self.parse_linexpr()
-            self.expect_sym(")")
-            self.expect_sym("[")
-            body = self.expr()
-            self.expect_sym("]")
-            return RISum(var, bound, body)
-        if name == "res":
-            self.expect_sym("(")
-            var = self.expect_name().text
-            self.expect_sym(")")
-            self.expect_sym("[")
-            body = self.expr()
-            self.expect_sym("]")
-            return RRes(var, body)
         if name == "geo":
-            self.expect_sym("[")
-            body = self.expr()
-            self.expect_sym("]")
-            return RGeo(body)
-        return RVar(name)
+            return RGeo(self.body())
+        if name not in _BINDERS:
+            return RVar(name)
+        node, bounds = _BINDERS[name]
+        self.expect_sym("(")
+        args = [self.expect_name().text]
+        for _ in range(bounds):
+            self.expect_sym(",")
+            args.append(self.parse_linexpr())
+        self.expect_sym(")")
+        return node(*args, self.body())
+
+    def body(self) -> RNode:
+        """The `[expr]` a binder applies to."""
+        self.expect_sym("[")
+        body = self.expr()
+        self.expect_sym("]")
+        return body
 
 
 def parse_resexpr(text: str) -> RNode:
-    p = _Parser(text)
-    node = p.expr()
-    if p.peek().kind != "EOF":
-        raise p.error("trailing input after expression")
-    return node
+    return _Parser.parse_whole(text, _Parser.expr, "expression")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,8 @@ def test_parse_linexpr_forms():
     assert parse_linexpr("a+b-c-d") == LinExpr.of(0, a=1, b=1, c=-1, d=-1)
     assert parse_linexpr("-5") == LinExpr(-5)
     assert parse_linexpr("3-2") == LinExpr(1)
+    assert parse_linexpr("k+2*k-1-k") == LinExpr.of(-1, k=2)
+    assert parse_linexpr("+k-k") == LinExpr(0)
 
 
 def test_parse_errors_carry_in_bounds_spans():
@@ -110,6 +113,23 @@ def test_parse_errors_carry_in_bounds_spans():
             parse_identity(text)
         span = err.value.span
         assert 0 <= span.start.offset <= span.end.offset <= len(text)
+
+
+@pytest.mark.parametrize("text, message, start, end", [
+    ("identity a params(n) :: C(n,0) == C(0,0)\nidentity b params(n) require n>=0,\n  m-n>=0 :: C(n,0) == C(0,0)",
+     "3:3: unknown variable 'm' in constraint", (3, 3, 78), (3, 4, 79)),
+    ("identity a params(n) :: C(n,0) == C(0,0)\n  identity a params(n) :: C(n,0) == C(0,0)",
+     "2:3: duplicate identity name 'a'", (2, 3, 43), (2, 11, 51)),
+    ("specializes c from p with {m=0,\tp=-d, m=1}",
+     "1:39: duplicate parameter 'm' in substitution", (1, 39, 38), (1, 40, 39)),
+    ("identity a params(n, k) :: sum(k,0,n)[C(n,k)] == C(n,0)",
+     "1:32: bound variable 'k' shadows a parameter", (1, 32, 31), (1, 33, 32)),
+])
+def test_declaration_errors_span_the_offending_token(text, message, start, end):
+    with pytest.raises(ParseError) as err:
+        parse_catalog(text)
+    span = err.value.span
+    assert (str(err.value), astuple(span.start), astuple(span.end)) == (message, start, end)
 
 
 # -- catalogs -------------------------------------------------------------------
@@ -327,3 +347,14 @@ def test_parse_results_and_errors_are_pinned():
     assert sum(o.count(" -> error ") for o in outcomes) > 300
     assert sum(" -> error " not in o for o in outcomes) > 300
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == PARSE_CORPUS_SHA256
+
+
+def test_line_endings_tabs_and_comments_do_not_change_the_catalog():
+    text = _data_text("catalog.bid")
+    plain_identities, plain_specials = parse_catalog(text)
+    varied = "# a comment line\r\n\t# an indented one\r\n" + "\r\n# between lines\r\n".join(
+        line.replace(" ", "\t") for line in text.split("\n"))
+    assert "\r\n" in varied and "\t" in varied
+    identities, specials = parse_catalog(varied)
+    assert [print_identity(i) for i in identities] == [print_identity(i) for i in plain_identities]
+    assert specials == plain_specials
