@@ -5,14 +5,18 @@ binomial factors, products of factors with an optional (-1)^e sign, finite
 sums over one bound variable, and named identities with nonnegativity
 constraints. Every AST node is an immutable dataclass; all operations return
 new values and are safe under concurrency. `CompiledIdentity`, the one
-evaluator, runs two Python functions generated from an identity's AST. Their
-code objects are compiled once and cached per (lhs, rhs, constraints, names
-in scope), and hold no state; each `CompiledIdentity` execs them into its own
-namespace with its own binomial memo, and belongs to the caller that built it.
-The memo holds one row k -> C(n, k) per upper argument n; a row whose n is
-fixed in the summation loop is fetched once, before the loop. The loop runs
-only over the indices where every factor can be nonzero: C(u, l) = 0 when
-l < 0, and when 0 <= u < l.
+evaluator, runs three Python functions generated from an identity's AST:
+`evaluate` and `admissible` at one point, and `walk`, which checks a whole
+grid shard in nested loops. Their code object is compiled once and cached
+per (lhs, rhs, constraints, names in scope), and holds no state; each
+`CompiledIdentity` execs it into its own namespace with its own binomial
+memo, and belongs to the caller that built it. The memo holds one row
+k -> C(n, k) per upper argument n; a row whose n is fixed in the summation
+loop is fetched once, before the loop. In `walk` those rows, the factors of
+the terms outside the sum and the constraint tests are each computed in the
+loop of the deepest parameter they name. The summation loop runs only over
+the indices where every factor can be nonzero: C(u, l) = 0 when l < 0, and
+when 0 <= u < l.
 """
 from __future__ import annotations
 
@@ -260,7 +264,8 @@ class EvalResult:
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# An identity is evaluated by two Python functions generated from its AST.
+# An identity is evaluated by three Python functions generated from its AST:
+# `evaluate` and `admissible` at one point, and `walk` over a grid.
 # The names in scope become the locals v0, v1, ... in declared order and the
 # bound variable the next one; each affine expression is written out inline
 # over those locals and int literals, so no name or text from a catalog
@@ -281,14 +286,28 @@ class EvalResult:
 # The summation loop runs over lo..hi, the declared range narrowed by the
 # zero set of the body's factors: C(u, l) = 0 exactly when l < 0 or
 # 0 <= u < l. Write u = d*k + U and l = c*k + L for the bound variable k.
-# Rule 1: when c != 0, l >= 0 bounds k. Rule 2: when c != d and u >= 0 holds
-# over all of lo..hi (tested at the end where u is smallest), l <= u, that is
-# (c - d)*k <= U - L, bounds k. Each bound is an `if e > lo: lo = e` (or
-# `< hi`) statement, with floor division where |c| or |c - d| is not 1. Both
-# rules hold for every integer input, and the bounds only shrink lo..hi, so
+# Rule 1: when c != 0, l >= 0 bounds k; when c = 0, the range is empty where
+# L < 0 (`e0 = L < 0`, then `if e0: hi = lo - 1`). Rule 2: when c != d and
+# u >= 0 holds over all of lo..hi (tested at the end where u is smallest),
+# l <= u, that is (c - d)*k <= U - L, bounds k. Each bound is an
+# `if e > lo: lo = e` (or `< hi`) statement, with floor division where |c| or
+# |c - d| is not 1. Both rules hold for every integer input, and the bounds only shrink lo..hi, so
 # rule 2's test holds on the final range too: every skipped term is 0. The
 # constraints on k are still checked over the declared range, since they
-# must hold at every declared index, zero terms included.
+# must hold at every declared index, zero terms included; each is affine in
+# k, so it holds on the range where it holds at the end where it is smallest.
+#
+# `walk` nests one loop per parameter in declared order, last innermost, and
+# puts each statement in the loop of the deepest parameter it names: the
+# constraint tests (as `continue`), the rows of the summation loop, rule 1's
+# tests for c = 0 (as flags the clamp reads), and each term's factors
+# multiplied in one level at a time (`y0 = r0[v2]` in the third loop,
+# `y1 = y0; if y1: y1 *= r1[v3]` in the fourth), with a term factor's row
+# fetched at the level of its upper argument when its lower one is deeper.
+# Only the clamp, the summation loop and the rest of each term run at every
+# point. The innermost loop visits the flat indices (last parameter fastest)
+# that are j modulo w, so shard j of w is the same set of points whatever
+# the grid's shape.
 
 _CODE_CACHE_SIZE = 256
 
@@ -316,18 +335,43 @@ def _lin(e: LinExpr, slot: Mapping[str, str]) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def _term_lines(t: Term, slot: Mapping[str, str], rows: Mapping[str, str]) -> list[str]:
-    """Statements leaving the term's value in t; no factor after a zero is looked up.
-    `rows` maps the source of an upper argument to the local holding its row."""
-    sign = _lin(t.sign_exponent, slot) if t.sign_exponent is not None else None
-    keys = []
-    for f in t.factors:
-        upper = _lin(f.upper, slot)
-        keys.append(f"{rows.get(upper) or f'cache[{upper}]'}[{_lin(f.lower, slot)}]")
-    lines = [f"t = {keys[0]}" if keys else "t = 1"] + [f"if t: t *= {key}" for key in keys[1:]]
+def _key(f: BinomFactor, slot: Mapping[str, str], rows: Mapping[str, str]) -> str:
+    """The lookup of C(u, l); `rows` maps the source of u to a local holding its row."""
+    upper = _lin(f.upper, slot)
+    return f"{rows.get(upper) or f'cache[{upper}]'}[{_lin(f.lower, slot)}]"
+
+
+def _product_lines(local: str, start: str, keys: list[str], sign: Optional[str]) -> list[str]:
+    """Statements setting local to start times the keys, negated where sign is
+    odd; no key after a zero is looked up."""
+    if start == "1" and keys:
+        start, keys = keys[0], keys[1:]
+    lines = [f"{local} = {start}"] + [f"if {local}: {local} *= {key}" for key in keys]
     if sign is not None:
-        lines.append(f"if t and ({sign}) % 2: t = -t")
+        lines.append(f"if {local} and ({sign}) % 2: {local} = -{local}")
     return lines
+
+
+def _term_lines(t: Term, slot: Mapping[str, str], rows: Mapping[str, str]) -> list[str]:
+    """Statements leaving the term's value in t."""
+    sign = _lin(t.sign_exponent, slot) if t.sign_exponent is not None else None
+    return _product_lines("t", "1", [_key(f, slot, rows) for f in t.factors], sign)
+
+
+def _chain(t: Term, name: str, slot: Mapping[str, str], rows: Mapping[str, str], level):
+    """Statements (level, line) leaving the term's value in a local, and the
+    local's name: each factor, and the sign, is multiplied in at the loop
+    level of the deepest parameter it names, onto the product so far."""
+    keys = [(level(f.upper, f.lower), _key(f, slot, rows)) for f in t.factors]
+    sign = t.sign_exponent
+    at = {d for d, _ in keys} | ({level(sign)} if sign is not None else set())
+    placed, value = [], "1"
+    for i, d in enumerate(sorted(at)):
+        odd = _lin(sign, slot) if sign is not None and level(sign) == d else None
+        lines = _product_lines(f"{name}{i}", value, [key for e, key in keys if e == d], odd)
+        placed += [(d, line) for line in lines]
+        value = f"{name}{i}"
+    return placed, value
 
 
 def _split(e: LinExpr, bv: str) -> tuple[int, LinExpr]:
@@ -348,11 +392,21 @@ def _bound(e: LinExpr, bv: str, slot: Mapping[str, str], guard: str = "") -> str
     return f"if {guard}{edge} < hi: hi = {edge}"
 
 
-def _clamp_lines(s: SumExpr, slot: Mapping[str, str]) -> list[str]:
+def _fixed_lowers(s: SumExpr) -> list[LinExpr]:
+    """The body's lower arguments that do not name the bound variable (and
+    are not a constant >= 0): the sum is empty where one is negative."""
+    lowers = (f.lower for f in s.body.factors if s.bound_var not in f.lower.variables())
+    return list(dict.fromkeys(l for l in lowers if l.coeffs or l.const < 0))
+
+
+def _clamp_lines(s: SumExpr, slot: Mapping[str, str], empty: list[str]) -> list[str]:
     """Statements setting lo..hi to the summation range of s, less indices
-    where a factor C(u, l) of the body is 0: where l < 0 or 0 <= u < l."""
+    where a factor C(u, l) of the body is 0: where l < 0 or 0 <= u < l.
+    `empty` names the locals that are true where a lower argument of
+    `_fixed_lowers(s)` is negative."""
     bv, first, last = s.bound_var, _lin(s.lower, slot), _lin(s.upper, slot)
     bounds = [f"if {first} > lo: lo = {first}", f"if {last} < hi: hi = {last}"]
+    bounds += [f"if {flag}: hi = lo - 1" for flag in empty]
     bounds += [_bound(f.lower, bv, slot) for f in s.body.factors if _split(f.lower, bv)[0]]
     for f in s.body.factors:
         d, _ = _split(f.upper, bv)
@@ -365,34 +419,98 @@ def _clamp_lines(s: SumExpr, slot: Mapping[str, str]) -> list[str]:
     return [f"lo = {first}", f"hi = {last}"] + list(dict.fromkeys(bounds))[2:]
 
 
+def _violations(constraints: tuple[LinExpr, ...], lhs: Side, slot: Mapping[str, str]):
+    """Each constraint as (the expressions it reads, a test true where it
+    fails). A constraint on the bound variable must hold at every index of
+    the declared range; being affine in it, it is smallest at one end."""
+    bv = lhs.bound_var if isinstance(lhs, SumExpr) else None
+    tests = []
+    for c in constraints:
+        coeff = dict(c.coeffs).get(bv, 0)
+        if not coeff:
+            tests.append(((c,), f"{_lin(c, slot)} < 0"))
+            continue
+        first, last = _lin(lhs.lower, slot), _lin(lhs.upper, slot)
+        end = c.subst({bv: lhs.lower if coeff > 0 else lhs.upper})
+        tests.append(((end, lhs.lower, lhs.upper), f"{first} <= {last} and {_lin(end, slot)} < 0"))
+    return tests
+
+
+def _walk_lines(n: int, placed: list[tuple[int, str]], point: list[str]) -> list[str]:
+    """The body of `walk(ranges, j, w)` over n parameters: one loop per
+    parameter in declared order (over the one point when n is 0), each placed
+    line inside the loop of its level (level -1 before them all), the point
+    lines innermost. p{i} is the flat index of the prefix v0..v{i}; the
+    innermost loop starts at the first point of its row whose flat index is
+    j modulo w, and steps by w."""
+    lines = [f"[{', '.join(f'(a{i}, b{i})' for i in range(n))}] = ranges", "checked = 0", "failed = []"]
+    lines += [line for d, line in placed if d < 0]
+    for i in range(n - 1):
+        pad = "    " * i
+        prefix = f"p{i - 1} * (b{i} - a{i} + 1) + " if i else ""
+        lines += [f"{pad}for v{i} in range(a{i}, b{i} + 1):", f"{pad}    p{i} = {prefix}v{i} - a{i}"]
+        lines += [f"{pad}    {line}" for d, line in placed if d == i]
+    last = max(n - 1, 0)
+    pad = "    " * last
+    if n == 0:
+        lines.append("for _ in range(j, 1, w):")
+    else:
+        start = f"(j - p{last - 1} * (b{last} - a{last} + 1)) % w" if last else "j % w"
+        lines.append(f"{pad}for v{last} in range(a{last} + {start}, b{last} + 1, w):")
+    lines += [f"{pad}    {line}" for d, line in placed if d == last] + [f"{pad}    {line}" for line in point]
+    return lines + ["return checked, failed"]
+
+
 @functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
 def _evaluator_code(lhs: Side, rhs: Term, constraints: tuple[LinExpr, ...], names: tuple[str, ...]):
-    """Source and code object defining `evaluate` and `admissible` over `vals`."""
+    """Source and code object defining `evaluate` and `admissible` over
+    `vals`, and `walk` over a grid."""
     slot = {p: f"v{i}" for i, p in enumerate(names)}
-    unpack = f"[{', '.join(slot.values())}] = vals"
-    rhs_lines = _term_lines(rhs, slot, {})
-    bv = lhs.bound_var if isinstance(lhs, SumExpr) else None
-    if bv is None:
-        lhs_lines = _term_lines(lhs, slot, {}) + ["lhs = t"]
+    order = {p: i for i, p in enumerate(names)}
+
+    def level(*exprs: LinExpr) -> int:
+        """The loop level of the deepest parameter named, -1 for none."""
+        return max((order[v] for e in exprs for v in e.variables() if v in order), default=-1)
+
+    placed, point = [], []  # statements by walk's loop level, and those at every point
+    rows, fixed = {}, {}  # the local holding each row, and its upper argument
+    terms = {"y": rhs}  # the terms multiplied out level by level
+    if isinstance(lhs, SumExpr):
+        uppers = (f.upper for f in lhs.body.factors if lhs.bound_var not in f.upper.variables())
+        fixed = {_lin(upper, slot): upper for upper in uppers}
+        rows = {upper: f"r{i}" for i, upper in enumerate(fixed)}
+        lowers = _fixed_lowers(lhs)
+        placed += [(level(lower), f"e{i} = {_lin(lower, slot)} < 0") for i, lower in enumerate(lowers)]
+        inner = {**slot, lhs.bound_var: f"v{len(names)}"}
+        point = ["lhs = 0"] + _clamp_lines(lhs, inner, [f"e{i}" for i in range(len(lowers))])
+        point += ["if lo <= hi:", f"    for v{len(names)} in range(lo, hi + 1):"]
+        point += ["        " + line for line in _term_lines(lhs.body, inner, rows) + ["lhs += t"]]
     else:
-        loop = f"for v{len(names)} in range({_lin(lhs.lower, slot)}, {_lin(lhs.upper, slot)} + 1):"
-        slot = {**slot, bv: f"v{len(names)}"}
-        fixed = [_lin(f.upper, slot) for f in lhs.body.factors if bv not in f.upper.variables()]
-        rows = {upper: f"r{i}" for i, upper in enumerate(dict.fromkeys(fixed))}
-        lhs_lines = (["lhs = 0"] + [f"{row} = cache[{upper}]" for upper, row in rows.items()]
-                     + _clamp_lines(lhs, slot) + [f"for v{len(names)} in range(lo, hi + 1):"]
-                     + ["    " + line for line in _term_lines(lhs.body, slot, rows)]
-                     + ["    lhs += t"])
-    checks, pointwise = [], []
-    for c in constraints:
-        (pointwise if bv in c.variables() else checks).append(f"if {_lin(c, slot)} < 0: return False")
-    if pointwise:
-        checks += [loop] + ["    " + line for line in pointwise]
+        terms["x"] = lhs
+    # a term's factor has its row fetched ahead of it where the lower
+    # argument names a deeper parameter than the upper one
+    for f in (f for t in terms.values() for f in t.factors):
+        if level(f.upper) < level(f.lower):
+            fixed.setdefault(_lin(f.upper, slot), f.upper)
+    rows.update({upper: f"q{i}" for i, upper in enumerate(u for u in fixed if u not in rows)})
+    placed += [(level(fixed[upper]), f"{row} = cache[{upper}]") for upper, row in rows.items()]
+    for name, t in terms.items():
+        chain, terms[name] = _chain(t, name, slot, rows, level)
+        placed += chain
+    placed.sort(key=operator.itemgetter(0))
+    lhs_value, rhs_value = terms.get("x", "lhs"), terms["y"]
+    tests = _violations(constraints, lhs, slot)
+    unpack = f"[{', '.join(slot.values())}] = vals"
+    compare = (f"if {lhs_value} != {rhs_value}: "
+               f"failed.append(([{', '.join(slot.values())}], {lhs_value}, {rhs_value}))")
+    walk = _walk_lines(len(names), [(max(level(*exprs), 0), f"if {test}: continue") for exprs, test in tests]
+                       + placed, ["checked += 1"] + point + [compare])
     source = "\n".join(
-        ["def evaluate(vals):", "    " + unpack]
-        + ["    " + line for line in lhs_lines + rhs_lines + ["return lhs, t"]]
+        ["def evaluate(vals):", "    " + unpack] + ["    " + line for _, line in placed]
+        + ["    " + line for line in point + [f"return {lhs_value}, {rhs_value}"]]
         + ["", "", "def admissible(vals):", "    " + unpack]
-        + ["    " + line for line in checks + ["return True"]]
+        + ["    " + f"if {test}: return False" for _, test in tests] + ["    return True"]
+        + ["", "", "def walk(ranges, j, w):"] + ["    " + line for line in walk]
     ) + "\n"
     return source, compile(source, "<binomid evaluator>", "exec")
 
@@ -403,7 +521,11 @@ class CompiledIdentity:
     `evaluate(vals)` returns the two sides and `admissible(vals)` whether
     every constraint is >= 0, for `vals` the parameter values in declared
     order; a constraint on the bound variable must hold at every index of
-    the summation range. `source` is the generated text of both functions.
+    the summation range. `walk(ranges, j, w)` checks the grid of inclusive
+    (lo, hi) ranges in declared order at the points whose flat index (last
+    parameter fastest) is j modulo w, for 0 <= j < w, and returns the number
+    of admissible points and the failing ones as ([values], lhs, rhs), in
+    flat order. `source` is the generated text of the three functions.
     Raises EvalError when the identity mentions a variable that is neither
     a parameter nor, inside the sum and its constraints, the bound variable.
     """
@@ -418,6 +540,7 @@ class CompiledIdentity:
         # cycle and the memo is freed with this object, not by the collector
         self.evaluate = namespace.pop("evaluate")
         self.admissible = namespace.pop("admissible")
+        self.walk = namespace.pop("walk")
 
 
 def _compiled_at(ident: Identity, env: Mapping[str, int], kept: Optional[dict]):

@@ -3,6 +3,9 @@
 Grid evaluation may be sharded across worker processes. Shards are
 interleaved: with w workers, worker j takes points j, j+w, j+2w, ... of the
 enumeration, so each worker gets an equal mix of cheap and costly points.
+Each shard is one call of the identity's generated `walk` (see
+`binomid.model.CompiledIdentity`), which runs the grid's nested loops itself
+and returns the admissible count and the failing points.
 Every environment evaluation is pure and shard results merge back in
 enumeration order, so reports do not depend on scheduling. The worker
 processes start once per process and are reused by later sharded calls (see
@@ -12,7 +15,6 @@ lexicographically in the identity's declared parameter order.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import multiprocessing
 import multiprocessing.connection
@@ -113,18 +115,8 @@ class VerificationReport:
 
 def _grid_shard(args):
     ident, ranges, shard = args
-    compiled = CompiledIdentity(ident)
-    checked = 0
-    failures = []
-    axes = [range(lo, hi + 1) for lo, hi in ranges]
-    for point in itertools.islice(itertools.product(*axes), shard.start, None, shard.step):
-        if not compiled.admissible(point):
-            continue
-        checked += 1
-        lhs, rhs = compiled.evaluate(point)
-        if lhs != rhs:
-            failures.append(Failure(dict(zip(ident.params, point)), lhs, rhs))
-    return checked, failures
+    checked, failed = CompiledIdentity(ident).walk(ranges, shard.start, shard.step)
+    return checked, [Failure(dict(zip(ident.params, point)), lhs, rhs) for point, lhs, rhs in failed]
 
 
 def _exit_with_parent() -> None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -91,3 +92,20 @@ def constraints_satisfied(ident, env) -> bool:
     names = tuple(env)
     compiled = CompiledIdentity(Identity(ident.name, names, ident.lhs, ident.rhs, ident.constraints))
     return compiled.admissible([env[n] for n in names])
+
+
+def grid_verdicts(compiled, ranges) -> list:
+    """Each point of the grid of inclusive ranges in flat order (last
+    parameter fastest), with `evaluate`'s (lhs, rhs) there, or with None
+    where `admissible` rejects it."""
+    axes = [range(lo, hi + 1) for lo, hi in ranges]
+    return [(list(point), compiled.evaluate(point) if compiled.admissible(point) else None)
+            for point in itertools.product(*axes)]
+
+
+def walk_reference(verdicts, j, w):
+    """What `CompiledIdentity.walk(ranges, j, w)` returns, from the grid's
+    verdicts: the points whose flat index is j modulo w, as the number
+    admitted and the failing ones."""
+    kept = [(point, sides) for point, sides in verdicts[j::w] if sides is not None]
+    return len(kept), [(point, *sides) for point, sides in kept if sides[0] != sides[1]]

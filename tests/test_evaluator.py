@@ -25,7 +25,7 @@ from binomid.model import (
     eval_side,
 )
 
-from conftest import constraints_satisfied
+from conftest import constraints_satisfied, grid_verdicts, walk_reference
 from test_dsl import identities, linexprs
 
 
@@ -125,6 +125,28 @@ def test_compiled_evaluator_agrees_with_tree_walk(case):
             assert eval_side(side, env) == oracle(side, env)
     if all(p in env for p in ident.params):
         assert constraints_satisfied(ident, env) == oracle_constraints_satisfied(ident, env)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.integers(1, 4))
+def test_walk_agrees_with_the_point_loop(case, w):
+    # sums and plain terms, signs and constraints (some on the bound variable)
+    # at every loop level, over a grid whose last axis is narrower than w = 4
+    ident, _ = case
+    ranges = [(-2, 1)] * (len(ident.params) - 1) + [(-1, 1)]
+    compiled = CompiledIdentity(ident)
+    verdicts = grid_verdicts(compiled, ranges)
+    assert [compiled.walk(ranges, j, w) for j in range(w)] == [walk_reference(verdicts, j, w) for j in range(w)]
+
+
+def test_walk_over_no_parameters():
+    # one point, in shard 0; a constraint without variables can fail there
+    for constraints, checked in (((), 1), ((model.LinExpr(-1),), 0)):
+        ident = model.Identity("z", (), Term(), Term(None, (model.BinomFactor(model.LinExpr(2), model.ONE),)),
+                               constraints)
+        compiled = CompiledIdentity(ident)
+        want = (checked, [([], 1, 2)] * checked)
+        assert [compiled.walk([], j, 2) for j in range(2)] == [want, (0, [])]
 
 
 # The generated source names parameters only by slot; these names shadow what
@@ -295,13 +317,31 @@ def test_a_constraint_on_the_bound_variable_holds_where_the_clamp_cuts():
     assert outcome(eval_identity, TOP_ZERO, {"n": 2}) is ConstraintError
 
 
-def test_sum_loops_visit_little_more_than_the_support(catalog):
+def loop_visits(catalog, lo, hi) -> tuple[int, int]:
+    """The indices the catalog's summation loops visit over [lo, hi]^params,
+    and the indices where no factor is 0."""
     visited = supported = 0
     for ident in catalog.identities.values():
         evaluate, visits = counting_evaluate(ident)
-        for point in itertools.product(range(4), repeat=len(ident.params)):
+        for point in itertools.product(range(lo, hi + 1), repeat=len(ident.params)):
             evaluate(list(point))
             supported += support_size(ident.lhs, dict(zip(ident.params, point)))
         visited += visits[0]
+    return visited, supported
+
+
+def test_sum_loops_visit_little_more_than_the_support(catalog):
+    visited, supported = loop_visits(catalog, 0, 3)
     # the declared ranges alone visit 7.5 times the support here
     assert visited <= 1.1 * supported
+
+
+def test_a_negative_lower_argument_without_the_bound_variable_empties_the_sum(catalog):
+    visited, supported = loop_visits(catalog, -2, 2)
+    # 3.7 times the support without the test (chugen's C(k,c) at c < 0)
+    assert visited <= 1.1 * supported
+    # the point is still checked, with an empty sum
+    chugen = CompiledIdentity(catalog.identity("chugen"))
+    evaluate, visits = counting_evaluate(catalog.identity("chugen"))
+    assert evaluate([2, 2, -1, 0, 2]) == (0, 0) and visits[0] == 0
+    assert chugen.walk([(2, 2), (2, 2), (-1, -1), (0, 0), (2, 2)], 0, 1) == (1, [])

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import multiprocessing.connection
@@ -7,17 +8,19 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+from binomid.catalog import specialized_form
 from binomid.cli import main
 from binomid.model import BinomFactor, CompiledIdentity, Identity, LinExpr, Term
 from binomid import verify
 from binomid.verify import GridError, GridSpec, fuzz, shard_map, verify_grid
 
-from conftest import RecordingPool, comb_oracle
+from conftest import RecordingPool, comb_oracle, grid_verdicts, walk_reference
 
 
 def naive_chugen_check(env):
@@ -181,6 +184,57 @@ def test_constraints_skip_envs(catalog):
     report = verify_grid(stan2, GridSpec.uniform(stan2.params, 0, 5))
     assert report.ok
     assert report.instances < 6 ** 4  # constraint-violating envs skipped
+
+
+# -- the generated grid walk ------------------------------------------------------
+
+# grid shapes by parameter count: the default grid, negative arguments (13
+# catalog identities fail there), unequal widths, and a last axis narrower
+# than most worker counts below
+GRID_SHAPES = {
+    "0..5": lambda count: [(0, 5)] * count,
+    "-3..3": lambda count: [(-3, 3)] * count,
+    "unequal": lambda count: [(-1 - i % 2, 1 + i) for i in range(count)],
+    "narrow-last": lambda count: [(-2, 3)] * (count - 1) + [(1, 2)],
+}
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_walk_shards_agree_with_the_point_loop(catalog, shape):
+    idents = list(catalog.identities.values())
+    idents += [specialized_form(catalog, claim) for claim in catalog.claims.values()]
+    for ident in idents:
+        compiled = CompiledIdentity(ident)
+        ranges = GRID_SHAPES[shape](len(ident.params))
+        verdicts = grid_verdicts(compiled, ranges)
+        checked, failed = walk_reference(verdicts, 0, 1)
+        if shape == "0..5" and ident.name == "stanley2":
+            assert checked == 1086
+        for w in range(1, 5):
+            shards = [compiled.walk(ranges, j, w) for j in range(w)]
+            # shard j is the point loop over the flat indices j modulo w, so
+            # the shards are disjoint and together check every point once
+            assert shards == [walk_reference(verdicts, j, w) for j in range(w)], (ident.name, w)
+            assert sum(count for count, _ in shards) == checked
+            assert sorted(f for _, part in shards for f in part) == sorted(failed)
+
+
+def test_the_walk_memo_is_freed_on_return_without_the_collector(catalog, monkeypatch):
+    memos = []
+
+    class Watched(CompiledIdentity):
+        def __init__(self, ident):
+            super().__init__(ident)
+            memos.append(weakref.ref(self.walk.__globals__["cache"]))
+
+    monkeypatch.setattr(verify, "CompiledIdentity", Watched)
+    ident = catalog.identity("chugen")
+    gc.disable()
+    try:
+        assert verify_grid(ident, GridSpec.uniform(ident.params, 0, 2)).instances == 3 ** 5
+        assert len(memos) == 1 and memos[0]() is None
+    finally:
+        gc.enable()
 
 
 # -- fuzz -----------------------------------------------------------------------
