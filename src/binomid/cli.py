@@ -28,7 +28,8 @@ from .catalog import (DEFAULT_GRID_HI, DEFAULT_GRID_LO, Catalog, CatalogError,
 from .proofs import run_proof_script
 from .verify import GridSpec, fuzz, verify_grid
 
-_RANGE = re.compile(r"^(\*|[A-Za-z_][A-Za-z0-9_]*)=(-?\d+)\.\.(-?\d+)$")
+# any name: a name that no selected item declares is refused after parsing
+_RANGE = re.compile(r"([^=]+)=(-?[0-9]+)\.\.(-?[0-9]+)")
 
 
 class UsageError(Exception):
@@ -40,7 +41,7 @@ def _grids(items, specs, default: tuple[int, int]) -> list[GridSpec]:
     item runs; '*' fills every parameter that no flag names."""
     ranges: dict[str, tuple[int, int]] = {}
     for spec in specs or ():
-        m = _RANGE.match(spec)
+        m = _RANGE.fullmatch(spec)
         if not m:
             raise UsageError(f"bad range '{spec}' (expected name=lo..hi or '*=lo..hi')")
         name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))

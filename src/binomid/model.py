@@ -10,11 +10,11 @@ evaluator, runs three Python functions generated from an identity's AST:
 grid shard in nested loops. Their code object is compiled once and cached
 per (lhs, rhs, constraints, names in scope), and holds no state; each
 `CompiledIdentity` execs it into its own namespace with its own binomial
-memo, and belongs to the caller that built it. The memo holds one row
-k -> C(n, k) per upper argument n; a row whose n is fixed in the summation
-loop is fetched once, before the loop. In `walk` those rows, the factors of
-the terms outside the sum and the constraint tests are each computed in the
-loop of the deepest parameter they name. The summation loop runs only over
+memo, and lives for one call. The memo holds one row k -> C(n, k) per
+upper argument n; a row whose n is fixed in the summation loop is fetched
+once, before the loop. In `walk` those rows, the factors of the terms
+outside the sum and the constraint tests are each computed in the loop of
+the deepest parameter they name. The summation loop runs only over
 the indices where every factor can be nonzero: C(u, l) = 0 when l < 0, and
 when 0 <= u < l.
 """
@@ -543,35 +543,25 @@ class CompiledIdentity:
         self.walk = namespace.pop("walk")
 
 
-def _compiled_at(ident: Identity, env: Mapping[str, int], kept: Optional[dict]):
-    """The identity compiled with every name of env in scope, and env's values
-    in the order it was compiled with. An evaluator in `kept` (if given) is
-    reused, else the new one is kept there, so every env of one `kept` must
-    bind the names of the first."""
-    compiled = None if kept is None else kept.get(ident)
-    if compiled is None:
-        names = tuple(env)
-        compiled = CompiledIdentity(Identity(ident.name, names, ident.lhs, ident.rhs, ident.constraints))
-        if kept is not None:
-            kept[ident] = compiled
-    return compiled, [env[n] for n in compiled.params]
+def _compiled_at(ident: Identity, env: Mapping[str, int]):
+    """The identity compiled with every name of env in scope, in env's order,
+    and env's values."""
+    compiled = CompiledIdentity(Identity(ident.name, tuple(env), ident.lhs, ident.rhs, ident.constraints))
+    return compiled, list(env.values())
 
 
-def eval_side(side: Side, env: Mapping[str, int], kept: Optional[dict] = None) -> int:
-    """The side's value at env; `kept` as for `eval_identity`."""
-    compiled, vals = _compiled_at(Identity("side", (), side, Term()), env, kept)
+def eval_side(side: Side, env: Mapping[str, int]) -> int:
+    """The side's value at env."""
+    compiled, vals = _compiled_at(Identity("side", (), side, Term()), env)
     return compiled.evaluate(vals)[0]
 
 
-def eval_identity(ident: Identity, env: Mapping[str, int], kept: Optional[dict] = None) -> EvalResult:
-    """Evaluate both sides exactly; raises on unbound params or violated constraints.
-
-    `kept`, a dict, keeps the compiled evaluators between calls whose env
-    binds the same names (as at every instance of a proof script)."""
+def eval_identity(ident: Identity, env: Mapping[str, int]) -> EvalResult:
+    """Evaluate both sides exactly; raises on unbound params or violated constraints."""
     for p in ident.params:
         if p not in env:
             raise EvalError(f"identity '{ident.name}': parameter '{p}' not bound")
-    compiled, vals = _compiled_at(ident, env, kept)
+    compiled, vals = _compiled_at(ident, env)
     if not compiled.admissible(vals):
         raise ConstraintError(f"identity '{ident.name}': constraints violated at {dict(env)}")
     return EvalResult(*compiled.evaluate(vals))

@@ -89,16 +89,6 @@ class ProofScript:
         first use, so a script made by `dataclasses.replace` computes its own."""
         return tuple(_recognition(self, s) if s.kind == "Recognize" else None for s in self.steps)
 
-    @cached_property
-    def evaluators(self) -> dict:
-        """The `kept` evaluators of the identities checked at every instance
-        (see `eval_identity`), one dict per ProofScript object like
-        `recognitions`, but left out of pickles, since functions do not pickle."""
-        return {}
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "evaluators"}
-
     def instance_env(self, env: Mapping[str, int]) -> dict[str, int]:
         full = {p: env[p] for p in self.params}
         for name, expr in self.aliases:
@@ -209,7 +199,7 @@ def _check_step_in_context(
         return StepResult(False, _difference_message(diff, ctx.vars))
     if index == 0:
         # tie the script to its subject: the opening state is the identity's lhs
-        subject_lhs = eval_side(script.subject.lhs, ctx.env, script.evaluators)
+        subject_lhs = eval_side(script.subject.lhs, ctx.env)
         if before.constant_value() != subject_lhs:
             return StepResult(
                 False,
@@ -248,21 +238,20 @@ def _check_recognize(script: ProofScript, index: int, ctx: EvalContext) -> StepR
     """Check a Recognize step at one instance. The split of the final state,
     the carried-multiplier and map checks, the substituted and canonicalized
     target and its rhs product are cached once per ProofScript object
-    (`ProofScript.recognitions`), and so are the evaluators of the numeric
-    checks (`ProofScript.evaluators`); only those checks run per instance."""
+    (`ProofScript.recognitions`); only the numeric checks run per instance,
+    each compiling its identity at the call."""
     prepared = script.recognitions[index]
     if isinstance(prepared, str):
         return StepResult(False, prepared)
     specialized, product = prepared
     # (ii) substituted closed form times carried multiplier gives the subject rhs
-    kept = script.evaluators
-    if eval_side(product, ctx.env, kept) != eval_side(script.subject.rhs, ctx.env, kept):
+    if eval_side(product, ctx.env) != eval_side(script.subject.rhs, ctx.env):
         return StepResult(False, "substituted rhs times carried multiplier != subject rhs")
 
     # close the argument numerically: premise instance and subject instance hold
-    if not eval_identity(specialized, ctx.env, kept).holds:
+    if not eval_identity(specialized, ctx.env).holds:
         return StepResult(False, f"substituted {script.target.name} fails at this instance")
-    if not eval_identity(script.subject, ctx.env, kept).holds:
+    if not eval_identity(script.subject, ctx.env).holds:
         return StepResult(False, "subject identity fails at this instance")
     return StepResult(True)
 

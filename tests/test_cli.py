@@ -64,6 +64,25 @@ def test_verify_bad_range_is_usage_error(capsys):
     assert "bad range 'n=3..1': empty interval" in err
 
 
+def test_range_names_any_parameter_the_catalog_declares(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "accent.bid"
+    path.write_text("identity sq params(é) :: sum(k,0,é)[C(é,k)*C(é,é-k)] == C(2*é,é)\n",
+                    encoding="utf-8")
+    monkeypatch.setenv("BINOMID_CATALOG", str(path))
+    named = run_cli(capsys, "verify", "--all", "--range", "é=0..2", "--format", "json")
+    filled = run_cli(capsys, "verify", "--all", "--range", "*=0..2", "--format", "json")
+    assert named[0] == filled[0] == 0
+    assert json.loads(named[1])[0]["grid"] == {"é": [0, 2]}
+    assert json.loads(named[1])[0]["instances"] == 3
+
+
+@pytest.mark.parametrize("spec", ["*=\u0660..\u0661", "n=0..\uff12", "=0..2", "n=0..2\n"])
+def test_a_range_needs_a_name_and_ascii_digit_bounds(capsys, spec):
+    code, out, err = run_cli(capsys, "verify", "--identity", "chugen", "--range", spec)
+    assert code == 2 and out == ""
+    assert f"bad range '{spec}'" in err
+
+
 @pytest.mark.parametrize("argv, grids", [
     (("verify", "--identity", "chugen", "--identity", "chu2gen", "--range", "n=0..2",
       "--range", "*=0..1"), [{"a": [0, 1], "b": [0, 1], "c": [0, 1], "d": [0, 1], "n": [0, 2]},

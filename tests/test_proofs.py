@@ -1,5 +1,5 @@
 import dataclasses
-import pickle
+from collections import Counter
 
 import pytest
 
@@ -198,11 +198,56 @@ def test_a_script_ships_to_a_worker_after_an_in_process_run(catalog, monkeypatch
     script = dataclasses.replace(catalog.script("proof-eq1"))  # a fresh object, nothing cached
     envs = small_instances(script, hi=1)[:6]
     serial = run_proof_script(script, envs, window=2)
-    assert serial.ok and script.evaluators  # the run kept the evaluators of its checks
-    assert "evaluators" not in vars(pickle.loads(pickle.dumps(script)))
+    assert serial.ok
     sharded = run_proof_script(script, envs, window=2, jobs=2)
     assert own_workers.pool is not None
     assert sharded.canonical_json() == serial.canonical_json()
+
+
+def counting_binomial(monkeypatch):
+    """Patch `model.binomial` with a wrapper that counts its (n, k) pairs."""
+    from binomid import model
+
+    computed, pairs = model.binomial, Counter()
+
+    def counting(n, k):
+        pairs[n, k] += 1
+        return computed(n, k)
+
+    monkeypatch.setattr(model, "binomial", counting)
+    return pairs
+
+
+def test_the_numeric_checks_use_the_binomial_bound_at_each_run(catalog, monkeypatch):
+    from binomid import model
+
+    script = dataclasses.replace(catalog.script("proof-eq1"))  # a fresh object, nothing cached
+    first, second = small_instances(script)[:2]
+    assert run_proof_script(script, [first], window=2).ok
+    pairs = counting_binomial(monkeypatch)
+    assert run_proof_script(script, [second], window=2).ok
+    seen = pairs.copy()
+    pairs.clear()
+    # the pairs of step 0 and Recognize, each check compiled afresh
+    env = script.instance_env(second)
+    specialized, product = script.recognitions[-1]
+    model.eval_side(script.subject.lhs, env)
+    model.eval_side(product, env)
+    model.eval_side(script.subject.rhs, env)
+    model.eval_identity(specialized, env)
+    model.eval_identity(script.subject, env)
+    assert seen and seen == pairs
+
+
+def test_a_removed_binomial_wrapper_counts_nothing_more(catalog, monkeypatch):
+    script = dataclasses.replace(catalog.script("proof-eq1"))
+    first, second = small_instances(script)[:2]
+    pairs = counting_binomial(monkeypatch)
+    assert run_proof_script(script, [first], window=2).ok and pairs
+    monkeypatch.undo()
+    pairs.clear()
+    assert run_proof_script(script, [second], window=2).ok
+    assert not pairs
 
 
 def loaded_scripts(_):
