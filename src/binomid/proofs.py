@@ -153,6 +153,9 @@ class StepResult:
     message: str = ""
 
 
+_PASSED = StepResult(True)  # frozen, so every passing check can return it
+
+
 def _context(script: ProofScript, env: Mapping[str, int], window: int, memo: dict) -> EvalContext:
     """The instance's context; instances of one budget may share `memo`."""
     full = script.instance_env(env)
@@ -205,7 +208,7 @@ def _check_step_in_context(
                 False,
                 f"opening state {before.constant_value()} != subject lhs {subject_lhs}",
             )
-    return StepResult(True)
+    return _PASSED
 
 
 def _recognition(script: ProofScript, step: ProofStep):
@@ -253,7 +256,7 @@ def _check_recognize(script: ProofScript, index: int, ctx: EvalContext) -> StepR
         return StepResult(False, f"substituted {script.target.name} fails at this instance")
     if not eval_identity(script.subject, ctx.env).holds:
         return StepResult(False, "subject identity fails at this instance")
-    return StepResult(True)
+    return _PASSED
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,13 @@ k > b; the evaluator checks that assertion on a probe range past the bound.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from . import dsl
 from .arith import binomial
-from .model import BinomFactor, LinExpr, SumExpr, Term, frozen_node
+from .model import BinomFactor, EvalError, LinExpr, SumExpr, Term, _lin, frozen_node
 from .series import INF, EngineError, LaurentSeries, geometric_collapse, res, window_box
 
 
@@ -189,17 +190,16 @@ class EvalContext:
     """Where and at which parameter values a proof state is evaluated.
 
     `memo` maps (node, *values of the node's free parameters) to the node's
-    value and is consulted in every scope. Contexts may share one memo only
-    while they share `vars`, `window` and `probe`: child scopes do, and a
-    proof run hands one memo to all instances of the same window. `box` is
-    the window as `series.window_box` bounds, computed once per context tree.
+    value. Contexts may share one memo only while they share `vars`,
+    `window` and `probe`: a proof run hands one memo to all instances of the
+    same window. `box` is the window as `series.window_box` bounds.
     """
 
     vars: tuple[str, ...]
     window: dict[str, tuple[int, int]]
     probe: int
     env: dict[str, int]
-    # value cache for the root environment; inner binder scopes disable it
+    # value cache for the root nodes evaluated in this environment
     cache: dict | None = None
     memo: dict = field(default_factory=dict)
     box: tuple | None = None
@@ -207,11 +207,6 @@ class EvalContext:
     def __post_init__(self):
         if self.box is None:
             self.box = window_box(self.vars, self.window)
-
-    def child(self, var: str, value: int) -> "EvalContext":
-        env = dict(self.env)
-        env[var] = value
-        return EvalContext(self.vars, self.window, self.probe, env, None, self.memo, self.box)
 
 
 def free_params(node: RNode) -> tuple[str, ...]:
@@ -245,88 +240,252 @@ def free_params(node: RNode) -> tuple[str, ...]:
 
 
 def evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
+    """The node's value in ctx, by the function generated for it on its
+    first evaluation (`_compiled`) and cached on the node, out of pickles.
+
+    The function keeps every non-leaf node's value in `ctx.memo`, and runs
+    the series operations in the order a walk of the tree would: a sum's
+    terms in index order, a product's factors left to right, each multiplied
+    in and clipped to the window in turn. A subtree of integers, binomials,
+    products, sums and `isum`s is computed in int arithmetic and made a
+    constant series once, when the window holds exponent 0 of every
+    variable (a proof's always does): then every series value on the way
+    would be an exact constant, which its value fixes. Under any other
+    window a product of constants is clipped away, so the subtree takes the
+    series path.
+    """
     cache = ctx.cache
     if cache is not None:
         hit = cache.get(node)
         if hit is not None:
             return hit
-    # one flat tuple: a nested `tuple(map(...))` of values, dropped on every
-    # lookup, kept about 0.5 MB more resident over a run of proof instances
-    key = (node, *map(ctx.env.get, free_params(node)))
-    memo = ctx.memo
-    hit = memo.get(key)
-    if hit is None:
-        hit = _evaluate(node, ctx)
-        if len(memo) >= MEMO_LIMIT:
-            memo.clear()
-        memo[key] = hit
+    try:
+        run = node._run
+    except AttributeError:
+        run = _compiled(node)
+        object.__setattr__(node, "_run", run)  # kept out of pickles, like the hash
+    value = run(ctx)
     if cache is not None:
-        cache[node] = hit
-    return hit
+        cache[node] = value
+    return value
 
 
-def _evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
-    if isinstance(node, RInt):
-        return LaurentSeries.constant(ctx.vars, node.value)
-    if isinstance(node, RVar):
-        if node.name not in ctx.vars:
-            raise EngineError(f"'{node.name}' is not a series variable")
-        return LaurentSeries.monomial(ctx.vars, {node.name: 1})
-    if isinstance(node, RBinom):
-        value = binomial(node.upper.evaluate(ctx.env), node.lower.evaluate(ctx.env))
-        return LaurentSeries.constant(ctx.vars, value)
-    if isinstance(node, RPow):
-        return evaluate(node.base, ctx).pow(node.exponent.evaluate(ctx.env), ctx.box)
+@functools.lru_cache(maxsize=256)
+def _compiled(node: RNode):
+    """The generated function of a node, built once per equal node."""
+    gen = _Generator()
+    source = gen.source(node)
+    namespace = {}
+    # the functions run on this module's globals, so `binomial`, `res` and the
+    # rest are looked up at each call: a wrapper rebound later is seen
+    exec(compile(source, "<binomid state>", "exec"), globals(), namespace)
+    return namespace["make"](*gen.constants)
+
+
+def _integral(node: RNode) -> bool:
+    """Whether the node's value is an integer at every instance."""
+    if isinstance(node, (RInt, RBinom)):
+        return True
     if isinstance(node, RProd):
-        return _product(node.factors, ctx)
+        return all(map(_integral, node.factors))
     if isinstance(node, RAdd):
-        out = LaurentSeries.zero(ctx.vars)
-        for sign, sub in node.terms:
-            piece = evaluate(sub, ctx)
-            out = out + (piece if sign > 0 else -piece)
+        return all(_integral(t) for _, t in node.terms)
+    return isinstance(node, (RSum, RISum)) and _integral(node.body)
+
+
+class _Generator:
+    """The source of one node's function `make(*constants)(ctx)`.
+
+    Parameters are locals `v0, v1, ...` (the node's free parameters), each
+    binder's variable a loop local, and linexprs are rendered by
+    `model._lin`. Each `series` or `integer` call emits the statements a
+    node needs and returns an expression for its value, which the caller
+    uses exactly once.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.constants: list = []
+        self.uses: list = []  # (linexpr, its parameters) in evaluation order
+        self.count = 0
+        self.params: dict[str, str] = {}
+        self.fold = True  # False while emitting an integral subtree's series path
+        self.folded = False
+
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def constant(self, value) -> str:
+        self.constants.append(value)
+        return f"n{len(self.constants) - 1}"
+
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
+
+    def lin(self, e: LinExpr, slot) -> str:
+        self.uses.append((e, tuple(v for v, _ in e.coeffs if slot[v] == self.params.get(v))))
+        return _lin(e, slot)
+
+    def source(self, node: RNode) -> str:
+        self.params = {p: f"v{i}" for i, p in enumerate(free_params(node))}
+        value = self.series(node, self.params, 2)
+        body, self.lines = self.lines, []
+        uses = self.constant(tuple(self.uses))
+        self.emit(0, f"def make({', '.join(f'n{i}' for i in range(len(self.constants)))}):")
+        self.emit(1, "def run(ctx):")
+        for name in ("env", "vars", "box", "probe", "memo"):
+            self.emit(2, f"{name} = ctx.{name}")
+        self.emit(2, "get = memo.get")
+        if self.folded:
+            self.emit(2, "folds = max(box[0], default=0) <= 0 <= min(box[1], default=0)")
+        if self.params:
+            self.emit(2, "try:")
+            for name, local in self.params.items():
+                self.emit(3, f"{local} = env[{name!r}]")
+            self.emit(2, "except KeyError:")
+            self.emit(3, f"_unbound(env, {uses})")
+        self.lines += body
+        self.emit(2, f"return {value}")
+        self.emit(1, "return run")
+        return "\n".join(self.lines) + "\n"
+
+    def series(self, node: RNode, slot, depth: int) -> str:
+        """A node's value as a LaurentSeries, through the memo."""
+        values = [slot[p] for p in free_params(node)]
+        key, out = self.fresh("m") if values else self.constant((node,)), self.fresh("s")
+        if values:
+            self.emit(depth, f"{key} = ({', '.join([self.constant(node)] + values)})")
+        self.emit(depth, f"{out} = get({key})")
+        self.emit(depth, f"if {out} is None:")
+        self.emit(depth + 1, f"{out} = {self.compute(node, slot, depth + 1)}")
+        self.emit(depth + 1, "if len(memo) >= MEMO_LIMIT:")
+        self.emit(depth + 2, "memo.clear()")
+        self.emit(depth + 1, f"memo[{key}] = {out}")
         return out
-    if isinstance(node, RSum):
-        lo = node.lower.evaluate(ctx.env)
-        hi = node.upper.evaluate(ctx.env)
-        out = LaurentSeries.zero(ctx.vars)
-        for k in range(lo, hi + 1):
-            out = out + evaluate(node.body, ctx.child(node.var, k))
+
+    def compute(self, node: RNode, slot, depth: int) -> str:
+        """A node's value, computed; an integral one in int arithmetic where
+        the window holds exponent 0 (`folds`), else as series."""
+        if isinstance(node, (RInt, RBinom)):
+            return f"LaurentSeries.constant(vars, {self.integer(node, slot, depth)})"
+        if isinstance(node, RVar):
+            message = f"'{node.name}' is not a series variable"
+            self.emit(depth, f"if {node.name!r} not in vars:")
+            self.emit(depth + 1, f"raise EngineError({message!r})")
+            return f"LaurentSeries.monomial(vars, {{{node.name!r}: 1}})"
+        if self.fold and _integral(node):
+            out = self.fresh("s")
+            self.folded = True
+            self.emit(depth, "if folds:")
+            self.emit(depth + 1, f"{out} = LaurentSeries.constant(vars, {self.integer(node, slot, depth + 1)})")
+            self.emit(depth, "else:")
+            self.fold = False
+            self.emit(depth + 1, f"{out} = {self.compute(node, slot, depth + 1)}")
+            self.fold = True
+            return out
+        if isinstance(node, RPow):
+            base = self.series(node.base, slot, depth)
+            return f"{base}.pow({self.lin(node.exponent, slot)}, box)"
+        if isinstance(node, RProd):
+            return self.product(node.factors, slot, depth)
+        if isinstance(node, RAdd):
+            out = self.fresh("s")
+            for i, (sign, term) in enumerate(node.terms):
+                piece = self.series(term, slot, depth)
+                piece = piece if sign > 0 else f"(-{piece})"
+                # the first term added to 0 is that term
+                self.emit(depth, f"{out} = {piece}" if i == 0 else f"{out} = {out} + {piece}")
+            return out
+        if isinstance(node, (RSum, RISum)):
+            return self.sum(node, slot, depth, False)
+        if isinstance(node, RRes):
+            return self.residue(node, slot, depth)
+        if isinstance(node, RGeo):
+            return f"geometric_collapse({self.series(node.body, slot, depth)}, box)"
+        raise TypeError(f"unknown node {node!r}")
+
+    def product(self, factors, slot, depth: int, var: str | None = None) -> str:
+        """The product of two or more factors, clipped to the window after each
+        multiplication; with `var`, the last multiplication also takes the residue."""
+        out = self.fresh("s")
+        self.emit(depth, f"{out} = {self.series(factors[0], slot, depth)}")
+        for f in factors[1:-1]:
+            self.emit(depth, f"{out} = {out}.__mul__({self.series(f, slot, depth)}, box)")
+        last = self.series(factors[-1], slot, depth)
+        return f"{out}.__mul__({last}, box{'' if var is None else f', {var!r}'})"
+
+    def residue(self, node: RRes, slot, depth: int) -> str:
+        body = node.body
+        if not isinstance(body, RProd):
+            return f"res({self.series(body, slot, depth)}, {node.var!r})"
+        geos = [f for f in body.factors if isinstance(f, RGeo)]
+        if len(geos) != 1:
+            return self.product(body.factors, slot, depth, node.var)
+        # the residue of rest * geo[ratio], exchanged with the geometric sum
+        ratio = self.series(geos[0].body, slot, depth)
+        rest, out = self.fresh("s"), self.fresh("s")
+        self.emit(depth, f"{rest} = LaurentSeries.constant(vars, 1)")
+        for f in body.factors:
+            if not isinstance(f, RGeo):
+                self.emit(depth, f"{rest} = {rest}.__mul__({self.series(f, slot, depth)}, box)")
+        self.emit(depth, f"{out} = _geo_residue({ratio}, {rest}, box, {node.var!r})")
+        self.emit(depth, f"if {out} is None:")
+        self.emit(depth + 1, f"{out} = {self.product(body.factors, slot, depth + 1, node.var)}")
         return out
-    if isinstance(node, RISum):
-        bound = max(node.bound.evaluate(ctx.env), -1)
-        out = LaurentSeries.zero(ctx.vars)
-        for k in range(0, bound + 1):
-            out = out + evaluate(node.body, ctx.child(node.var, k))
-        for k in range(bound + 1, bound + 1 + ctx.probe):
-            tail = evaluate(node.body, ctx.child(node.var, k))
-            if tail.coeffs:
-                raise SupportBoundError(
-                    f"isum({node.var},{node.bound}): term at {node.var}={k} is not zero"
-                )
+
+    def sum(self, node, slot, depth: int, integral: bool) -> str:
+        """A sum or isum over its binder, in int arithmetic or as a series; an
+        isum's probe terms past its bound must be zero."""
+        value = self.integer if integral else self.series
+        out, k = self.fresh("i" if integral else "s"), self.fresh("k")
+        zero = "0" if integral else "LaurentSeries.zero(vars)"
+        inner = {**slot, node.var: k}
+        if isinstance(node, RSum):
+            lo, hi = self.lin(node.lower, slot), self.lin(node.upper, slot)
+            self.emit(depth, f"{out} = {zero}")
+            self.emit(depth, f"for {k} in range({lo}, {hi} + 1):")
+            self.emit(depth + 1, f"{out} = {out} + {value(node.body, inner, depth + 1)}")
+            return out
+        bound, term = self.fresh("b"), self.fresh("t")
+        self.emit(depth, f"{bound} = max({self.lin(node.bound, slot)}, -1)")
+        self.emit(depth, f"{out} = {zero}")
+        self.emit(depth, f"for {k} in range(0, {bound} + 1 + probe):")
+        self.emit(depth + 1, f"{term} = {value(node.body, inner, depth + 1)}")
+        self.emit(depth + 1, f"if {k} <= {bound}:")
+        self.emit(depth + 2, f"{out} = {out} + {term}")
+        nonzero = term if integral else f"{term}.coeffs"
+        self.emit(depth + 1, f"elif {nonzero}:")
+        message = f"isum({node.var},{node.bound}): term at {node.var}="
+        self.emit(depth + 2, f"raise SupportBoundError({message!r} + str({k}) + ' is not zero')")
         return out
-    if isinstance(node, RRes):
-        expanded = _res_of_geo_product(node, ctx)
-        if expanded is not None:
-            return expanded
-        if isinstance(node.body, RProd):
-            return _product(node.body.factors, ctx, node.var)
-        return res(evaluate(node.body, ctx), node.var)
-    if isinstance(node, RGeo):
-        return geometric_collapse(evaluate(node.body, ctx), ctx.box)
-    raise TypeError(f"unknown node {node!r}")
+
+    def integer(self, node: RNode, slot, depth: int) -> str:
+        """The value of an integral node (`_integral`) as an int."""
+        if isinstance(node, RInt):
+            return f"({node.value})"
+        if isinstance(node, RBinom):
+            return f"binomial({self.lin(node.upper, slot)}, {self.lin(node.lower, slot)})"
+        if isinstance(node, RProd):
+            return "(" + " * ".join(self.integer(f, slot, depth) for f in node.factors) + ")"
+        if isinstance(node, RAdd):
+            terms = [("+ " if sign > 0 else "- ") + self.integer(t, slot, depth) for sign, t in node.terms]
+            return "(" + " ".join(terms).removeprefix("+ ") + ")"
+        return self.sum(node, slot, depth, True)
 
 
-def _product(factors, ctx: EvalContext, var: str | None = None) -> LaurentSeries:
-    """The product of two or more factors, clipped to the window after each
-    multiplication; with `var`, the last multiplication also takes the residue."""
-    out = evaluate(factors[0], ctx)
-    for f in factors[1:-1]:
-        out = out.__mul__(evaluate(f, ctx), ctx.box)
-    return out.__mul__(evaluate(factors[-1], ctx), ctx.box, var)
+def _unbound(env, uses) -> None:
+    """Raise the EvalError of the first linexpr, in evaluation order, that
+    names a parameter env does not bind."""
+    for e, params in uses:
+        for v in params:
+            if v not in env:
+                raise EvalError(f"unbound variable '{v}' in expression {e}")
 
 
-def _res_of_geo_product(node: RRes, ctx: EvalContext):
-    """Residue of `rest * geo[r]`, exchanged with the geometric sum.
+def _geo_residue(ratio: LaurentSeries, rest: LaurentSeries, box, var: str):
+    """Residue in var of `rest * geo[ratio]`, exchanged with the geometric sum;
+    None where the exchange does not apply.
 
     When the ratio moves strictly in the residue variable and the rest of
     the product has finite known support there, only finitely many powers of
@@ -334,19 +493,10 @@ def _res_of_geo_product(node: RRes, ctx: EvalContext):
     avoids forming the full product, whose per-variable accuracy boxes can
     be vacuous even though the residue itself is finite.
     """
-    if not isinstance(node.body, RProd):
-        return None
-    geos = [f for f in node.body.factors if isinstance(f, RGeo)]
-    if len(geos) != 1:
-        return None
-    rest_nodes = [f for f in node.body.factors if not isinstance(f, RGeo)]
-    ratio = evaluate(geos[0].body, ctx)
-    rest = LaurentSeries.constant(ctx.vars, 1)
-    for f in rest_nodes:
-        rest = rest.__mul__(evaluate(f, ctx), ctx.box)
+    vars = rest.vars
     if rest.is_zero:
-        return LaurentSeries.zero(ctx.vars)
-    i = ctx.vars.index(node.var)
+        return LaurentSeries.zero(vars)
+    i = vars.index(var)
     known_in_var = rest.sup_lo[i] >= rest.acc_lo[i] and rest.sup_hi[i] <= rest.acc_hi[i]
     finite = rest.sup_lo[i] != -INF and rest.sup_hi[i] != INF
     if not (known_in_var and finite):
@@ -358,12 +508,12 @@ def _res_of_geo_product(node: RRes, ctx: EvalContext):
         count = max((-1 - int(rest.sup_lo[i])) // int(rlo), 0)
     else:
         return None
-    total = LaurentSeries.zero(ctx.vars)
-    power = LaurentSeries.constant(ctx.vars, 1)
+    total = LaurentSeries.zero(vars)
+    power = LaurentSeries.constant(vars, 1)
     for k in range(count + 1):
         if k > 0:
-            power = power.__mul__(ratio, ctx.box)
-        total = total + rest.__mul__(power, var=node.var)
+            power = power.__mul__(ratio, box)
+        total = total + rest.__mul__(power, var=var)
     return total
 
 

@@ -421,7 +421,12 @@ class LaurentSeries:
         if len(self.coeffs) == 1:
             return c, mu, None, None
         top = self.sup_hi  # the other term: mu is the minimum in every variable
-        return c, mu, _exact(Fraction(self.coeffs[top]) / c), tuple(map(operator.sub, top, mu))
+        a = self.coeffs[top]
+        if type(a) is int and type(c) is int:
+            u = a // c if a % c == 0 else Fraction(a, c)
+        else:
+            u = _exact(Fraction(a) / c)
+        return c, mu, u, tuple(map(operator.sub, top, mu))
 
     def _binomial_pow(self, e: int, window, c, mu, u, m) -> "LaurentSeries":
         """Closed form of (c*mu*(1 + u*m))^e, boxes as multiply-and-clip gives.
@@ -442,7 +447,12 @@ class LaurentSeries:
         vars, n = self.vars, len(self.vars)
         win_lo, win_hi = window_box(vars, window)
         lead = tuple(e * x for x in mu)
-        scale = c ** e if e > 0 else _exact(Fraction(c) ** e)
+        if e > 0:
+            scale = c ** e
+        elif type(c) is int and c in (1, -1):
+            scale = c ** -e
+        else:
+            scale = _exact(Fraction(c) ** e)
         if m is None:
             if e < 0:
                 mono = LaurentSeries(vars, {lead: scale}, lead, lead, (-INF,) * n, (INF,) * n)

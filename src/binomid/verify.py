@@ -193,7 +193,8 @@ def shard_map(worker, total: int, jobs: int, task) -> list:
     and the proof scripts they loaded), never results, so reports are
     byte-identical for any worker count.
     """
-    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1:  # the core count is read from the system: skipped when serial
+        jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total < 2 * jobs:
         return [worker(task(range(total)))]
     return _WORKERS.map(worker, [task(range(j, total, jobs)) for j in range(jobs)])

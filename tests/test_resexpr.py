@@ -1,12 +1,21 @@
-"""Parsing the proof-state expression language."""
+"""The proof-state expression language: parsing, and the function
+`resexpr.evaluate` generates for a node on its first evaluation."""
+import pickle
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomid import arith, resexpr
 from binomid.catalog import load_builtin
 from binomid.dsl import ParseError
-from binomid.model import LinExpr
-from binomid.resexpr import RBinom, RPow, RVar, parse_resexpr
+from binomid.model import EvalError, LinExpr
+from binomid.proofs import _context, run_proof_script
+from binomid.resexpr import (EvalContext, RAdd, RBinom, RInt, RPow, RProd, RSum, RVar, evaluate,
+                             parse_resexpr)
+from binomid.series import LaurentSeries, window_box
 
 STATE_TEXTS = sorted(
     {text for script in load_builtin().scripts.values() for step in script.steps
@@ -48,3 +57,108 @@ def test_linexpr_accepts_a_leading_plus():
     a = LinExpr.var("a")
     assert parse_resexpr("x^(+a)") == RPow(RVar("x"), a) == parse_resexpr("x^(a)")
     assert parse_resexpr("C(+a,+1)") == RBinom(a, LinExpr(1))
+
+
+def test_an_evaluated_node_pickles_to_the_same_bytes(catalog):
+    script = catalog.script("proof-eq1")
+    node = parse_resexpr(script.steps[2].after_text)
+    before = pickle.dumps(node)
+    evaluate(node, _context(script, dict.fromkeys(script.params, 1), 2, {}))
+    assert node._run is not None
+    assert pickle.dumps(node) == before
+
+
+def test_an_equal_script_compiles_nothing_new(catalog):
+    script = catalog.script("proof-eq2")
+    envs = script.instances({p: (0, 1) for p in script.params})[:4]
+    first = run_proof_script(script, envs)
+    compiled = resexpr._compiled.cache_info().misses
+    copy = pickle.loads(pickle.dumps(script))
+    assert not any(hasattr(step.before, "_run") for step in copy.steps)
+    assert run_proof_script(copy, envs).canonical_json() == first.canonical_json()
+    assert resexpr._compiled.cache_info().misses == compiled
+
+
+def test_a_binomial_wrapper_rebound_after_compiling_counts_every_call(catalog, monkeypatch):
+    # the generated code looks `binomial` up at each call, so a wrapper
+    # rebound later sees exactly the calls made while it is installed
+    script = catalog.script("proof-eq1")
+    env = dict.fromkeys(script.params, 2)
+    full = script.instance_env(env)
+    node = script.steps[-2].after  # C(b,d)*sum(j,0,a)[C(a,j)*C(p,c-a+j)*C(b-d+j,a+b+p-n)]
+    value = evaluate(node, _context(script, env, 2, {}))
+    calls = []
+    original = arith.binomial
+
+    def counting(n, k):
+        calls.append((n, k))
+        return original(n, k)
+
+    for name, module in list(sys.modules.items()):
+        if name == "binomid" or name.startswith("binomid."):
+            for attr, bound in list(vars(module).items()):
+                if bound is original:
+                    monkeypatch.setattr(module, attr, counting)
+    assert evaluate(node, _context(script, env, 2, {})).coeffs == value.coeffs
+    b, c, d, n, p, a = (full[v] for v in "bcdnpa")
+    want = [(b, d)] + [pair for j in range(a + 1)
+                       for pair in ((a, j), (p, c - a + j), (b - d + j, a + b + p - n))]
+    assert Counter(calls) == Counter(want)
+    monkeypatch.undo()
+    calls.clear()
+    evaluate(node, _context(script, env, 2, {}))
+    assert calls == []
+
+
+def test_an_unbound_parameter_is_an_eval_error_naming_it():
+    ctx = lambda env: EvalContext(("x",), {"x": (-3, 3)}, 2, env)
+    with pytest.raises(EvalError, match=r"^unbound variable 'm' in expression m$"):
+        evaluate(parse_resexpr("sum(k,0,n)[C(m,k)*x]"), ctx({"n": 2}))
+    # the first linexpr evaluated names the parameter
+    with pytest.raises(EvalError, match=r"^unbound variable 'q' in expression q-1$"):
+        evaluate(parse_resexpr("x^(q-1)*C(m,1)"), ctx({}))
+    # every parameter is bound on entry, also one only an empty sum would read
+    with pytest.raises(EvalError, match="unbound variable 'm'"):
+        evaluate(parse_resexpr("sum(k,0,n)[C(m,k)*x]"), ctx({"n": -1}))
+
+
+def _series_walk(node, vars, box, env):
+    """A tree walk of an integral node with series operations, as a walk
+    over the tree evaluates it: constants, clipped products, sums."""
+    if isinstance(node, RInt):
+        return LaurentSeries.constant(vars, node.value)
+    if isinstance(node, RBinom):
+        return LaurentSeries.constant(vars, arith.binomial(node.upper.evaluate(env),
+                                                           node.lower.evaluate(env)))
+    if isinstance(node, RProd):
+        out = _series_walk(node.factors[0], vars, box, env)
+        for f in node.factors[1:]:
+            out = out.__mul__(_series_walk(f, vars, box, env), box)
+        return out
+    if isinstance(node, RAdd):
+        out = LaurentSeries.zero(vars)
+        for sign, t in node.terms:
+            piece = _series_walk(t, vars, box, env)
+            out = out + (piece if sign > 0 else -piece)
+        return out
+    assert isinstance(node, RSum)
+    out = LaurentSeries.zero(vars)
+    for k in range(node.lower.evaluate(env), node.upper.evaluate(env) + 1):
+        out = out + _series_walk(node.body, vars, box, {**env, node.var: k})
+    return out
+
+
+@pytest.mark.parametrize("window", [{"x": (-2, 2), "y": (0, 3)}, {"x": (1, 4), "y": (-2, 2)},
+                                    {"x": (-3, -1), "y": (2, 1)}, {}])
+@pytest.mark.parametrize("text", ["2*3", "C(n,2)*sum(k,0,n)[C(n,k)*C(k,1)]-6", "1+C(n,1)*0",
+                                  "sum(k,0,n)[C(n,k)*2-C(n,k)*2]", "-(2*C(n,4))"])
+def test_an_integral_subtree_equals_its_series_walk(text, window):
+    # int arithmetic where the window holds exponent 0, the series path elsewhere
+    vars = tuple(window) or ("x",)
+    node, env = parse_resexpr(text), {"n": 3}
+    got = evaluate(node, EvalContext(vars, window, 2, env))
+    want = _series_walk(node, vars, window_box(vars, window), env)
+    assert got.coeffs == want.coeffs and type(got.coeffs.get((0,) * len(vars))) is type(
+        want.coeffs.get((0,) * len(vars)))
+    assert (got.sup_lo, got.sup_hi, got.acc_lo, got.acc_hi) == (
+        want.sup_lo, want.sup_hi, want.acc_lo, want.acc_hi)

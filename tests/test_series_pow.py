@@ -183,3 +183,32 @@ def test_negative_power_needs_a_bounded_window(window):
         oracle_pow(base, -2, window)
     with pytest.raises(WindowError):
         base.pow(-2, window)
+
+
+COEFFICIENTS = [1, -1, 2, -2, 3, -6, 12, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 2), Fraction(-6, 3)]
+
+
+def _exact_reference(x: Fraction):
+    """What a stored coefficient must be: an int when integral, else a Fraction."""
+    return x.numerator if x.denominator == 1 else x
+
+
+@pytest.mark.parametrize("lead", COEFFICIENTS)
+@pytest.mark.parametrize("other", COEFFICIENTS)
+def test_two_term_base_ratio_and_powers_match_fraction_arithmetic(lead, other):
+    # c*x + a*x^2*y: u = a/c, and every stored coefficient of a power is
+    # c^e * C(e,i) * u^i, with the type plain Fraction arithmetic gives it
+    s = LaurentSeries(XYZ, {(1, 0, 0): lead, (2, 1, 0): other}, (1, 0, 0), (2, 1, 0),
+                      (-INF,) * 3, (INF,) * 3)
+    c, mu, u, m = s._binomial_base()
+    want = _exact_reference(Fraction(other) / Fraction(lead))
+    assert (c, mu, m) == (lead, (1, 0, 0), (1, 1, 0))
+    assert u == want and type(u) is type(want)
+    window = {v: (-6, 6) for v in XYZ}
+    for e in (-3, -2, -1, 2, 3):
+        power = s.pow(e, window)
+        assert power.coeffs
+        for exp, coeff in power.coeffs.items():
+            i = exp[1]
+            ref = _exact_reference(Fraction(lead) ** e * binomial(e, i) * Fraction(want) ** i)
+            assert coeff == ref and type(coeff) is type(ref), (e, exp)
