@@ -350,18 +350,16 @@ class _Generator:
         self.emit(1, "return run")
         return "\n".join(self.lines) + "\n"
 
-    def series(self, node: RNode, slot, depth: int) -> str:
-        """A node's value as a LaurentSeries, through the memo."""
+    def series(self, node: RNode, slot, depth: int, compute=None) -> str:
+        """A node's value as a LaurentSeries, through the memo; `compute`
+        emits its computation where it is not the node's own."""
         values = [slot[p] for p in free_params(node)]
         key, out = self.fresh("m") if values else self.constant((node,)), self.fresh("s")
-        if values:
-            self.emit(depth, f"{key} = ({', '.join([self.constant(node)] + values)})")
-        self.emit(depth, f"{out} = get({key})")
+        lookup = f"({key} := ({', '.join([self.constant(node)] + values)}))" if values else key
+        self.emit(depth, f"{out} = get({lookup})")
         self.emit(depth, f"if {out} is None:")
-        self.emit(depth + 1, f"{out} = {self.compute(node, slot, depth + 1)}")
-        self.emit(depth + 1, "if len(memo) >= MEMO_LIMIT:")
-        self.emit(depth + 2, "memo.clear()")
-        self.emit(depth + 1, f"memo[{key}] = {out}")
+        value = (compute or self.compute)(node, slot, depth + 1)
+        self.emit(depth + 1, f"{out} = _keep(memo, {key}, {value})")
         return out
 
     def compute(self, node: RNode, slot, depth: int) -> str:
@@ -370,10 +368,7 @@ class _Generator:
         if isinstance(node, (RInt, RBinom)):
             return f"LaurentSeries.constant(vars, {self.integer(node, slot, depth)})"
         if isinstance(node, RVar):
-            message = f"'{node.name}' is not a series variable"
-            self.emit(depth, f"if {node.name!r} not in vars:")
-            self.emit(depth + 1, f"raise EngineError({message!r})")
-            return f"LaurentSeries.monomial(vars, {{{node.name!r}: 1}})"
+            return f"_variable(vars, {node.name!r})"
         if self.fold and _integral(node):
             out = self.fresh("s")
             self.folded = True
@@ -406,14 +401,15 @@ class _Generator:
         raise TypeError(f"unknown node {node!r}")
 
     def product(self, factors, slot, depth: int, var: str | None = None) -> str:
-        """The product of two or more factors, clipped to the window after each
-        multiplication; with `var`, the last multiplication also takes the residue."""
+        """The product of two or more factors (nodes, or expressions for values
+        already computed), clipped to the window after each multiplication;
+        with `var`, the last multiplication also takes the residue."""
+        value = lambda f: f if isinstance(f, str) else self.series(f, slot, depth)  # noqa: E731
         out = self.fresh("s")
-        self.emit(depth, f"{out} = {self.series(factors[0], slot, depth)}")
+        self.emit(depth, f"{out} = {value(factors[0])}")
         for f in factors[1:-1]:
-            self.emit(depth, f"{out} = {out}.__mul__({self.series(f, slot, depth)}, box)")
-        last = self.series(factors[-1], slot, depth)
-        return f"{out}.__mul__({last}, box{'' if var is None else f', {var!r}'})"
+            self.emit(depth, f"{out} = {out}.__mul__({value(f)}, box)")
+        return f"{out}.__mul__({value(factors[-1])}, box{'' if var is None else f', {var!r}'})"
 
     def residue(self, node: RRes, slot, depth: int) -> str:
         body = node.body
@@ -422,16 +418,21 @@ class _Generator:
         geos = [f for f in body.factors if isinstance(f, RGeo)]
         if len(geos) != 1:
             return self.product(body.factors, slot, depth, node.var)
-        # the residue of rest * geo[ratio], exchanged with the geometric sum
+        # the residue of rest * geo[ratio], exchanged with the geometric sum;
+        # where the exchange does not apply, the product of the same values
         ratio = self.series(geos[0].body, slot, depth)
         rest, out = self.fresh("s"), self.fresh("s")
         self.emit(depth, f"{rest} = LaurentSeries.constant(vars, 1)")
+        values = []
         for f in body.factors:
+            values.append(f if isinstance(f, RGeo) else self.series(f, slot, depth))
             if not isinstance(f, RGeo):
-                self.emit(depth, f"{rest} = {rest}.__mul__({self.series(f, slot, depth)}, box)")
+                self.emit(depth, f"{rest} = {rest}.__mul__({values[-1]}, box)")
         self.emit(depth, f"{out} = _geo_residue({ratio}, {rest}, box, {node.var!r})")
         self.emit(depth, f"if {out} is None:")
-        self.emit(depth + 1, f"{out} = {self.product(body.factors, slot, depth + 1, node.var)}")
+        collapse = lambda *_: f"geometric_collapse({ratio}, box)"  # noqa: E731
+        values = [self.series(v, slot, depth + 1, collapse) if isinstance(v, RGeo) else v for v in values]
+        self.emit(depth + 1, f"{out} = {self.product(values, slot, depth + 1, node.var)}")
         return out
 
     def sum(self, node, slot, depth: int, integral: bool) -> str:
@@ -472,6 +473,20 @@ class _Generator:
             terms = [("+ " if sign > 0 else "- ") + self.integer(t, slot, depth) for sign, t in node.terms]
             return "(" + " ".join(terms).removeprefix("+ ") + ")"
         return self.sum(node, slot, depth, True)
+
+
+def _keep(memo: dict, key, value: LaurentSeries) -> LaurentSeries:
+    """Store a value in the memo, emptied first when it is full."""
+    if len(memo) >= MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+def _variable(vars, name: str) -> LaurentSeries:
+    if name not in vars:
+        raise EngineError(f"'{name}' is not a series variable")
+    return LaurentSeries.monomial(vars, {name: 1})
 
 
 def _unbound(env, uses) -> None:

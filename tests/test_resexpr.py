@@ -69,13 +69,14 @@ def test_an_evaluated_node_pickles_to_the_same_bytes(catalog):
 
 
 def test_an_equal_script_compiles_nothing_new(catalog):
+    # each unpickled copy has nodes of its own, with no function on them yet
     script = catalog.script("proof-eq2")
     envs = script.instances({p: (0, 1) for p in script.params})[:4]
-    first = run_proof_script(script, envs)
+    first, second = (pickle.loads(pickle.dumps(script)) for _ in range(2))
+    report = run_proof_script(first, envs)
     compiled = resexpr._compiled.cache_info().misses
-    copy = pickle.loads(pickle.dumps(script))
-    assert not any(hasattr(step.before, "_run") for step in copy.steps)
-    assert run_proof_script(copy, envs).canonical_json() == first.canonical_json()
+    assert not any(hasattr(step.before, "_run") for step in second.steps)
+    assert run_proof_script(second, envs).canonical_json() == report.canonical_json()
     assert resexpr._compiled.cache_info().misses == compiled
 
 
