@@ -5,7 +5,8 @@ expression over the series variables (x, y, z) and the instance parameters,
 built from integer powers, binomial values, finite and support-bounded
 infinite sums, residue extraction, and collapsed geometric series. The
 evaluator turns a state into a concrete LaurentSeries at one parameter
-instance, inside a truncation window.
+instance, inside a truncation window, by a function generated for the
+state on its first evaluation (see `evaluate`).
 
     expr    ::= ("-")? term (("+"|"-") term)*
     term    ::= factor ("*" factor)*
@@ -298,9 +299,8 @@ class _Generator:
 
     Parameters are locals `v0, v1, ...` (the node's free parameters), each
     binder's variable a loop local, and linexprs are rendered by
-    `model._lin`. Each `series` or `integer` call emits the statements a
-    node needs and returns an expression for its value, which the caller
-    uses exactly once.
+    `model._lin`. Each `series`, `compute` or `integer` call emits the
+    statements a node needs and returns an expression for its value.
     """
 
     def __init__(self):
@@ -310,7 +310,7 @@ class _Generator:
         self.count = 0
         self.params: dict[str, str] = {}
         self.fold = True  # False while emitting an integral subtree's series path
-        self.folded = False
+        self.needs_folds = False
 
     def fresh(self, prefix: str) -> str:
         self.count += 1
@@ -337,7 +337,7 @@ class _Generator:
         for name in ("env", "vars", "box", "probe", "memo"):
             self.emit(2, f"{name} = ctx.{name}")
         self.emit(2, "get = memo.get")
-        if self.folded:
+        if self.needs_folds:
             self.emit(2, "folds = max(box[0], default=0) <= 0 <= min(box[1], default=0)")
         if self.params:
             self.emit(2, "try:")
@@ -371,7 +371,7 @@ class _Generator:
             return f"_variable(vars, {node.name!r})"
         if self.fold and _integral(node):
             out = self.fresh("s")
-            self.folded = True
+            self.needs_folds = True
             self.emit(depth, "if folds:")
             self.emit(depth + 1, f"{out} = LaurentSeries.constant(vars, {self.integer(node, slot, depth + 1)})")
             self.emit(depth, "else:")
@@ -409,7 +409,9 @@ class _Generator:
         self.emit(depth, f"{out} = {value(factors[0])}")
         for f in factors[1:-1]:
             self.emit(depth, f"{out} = {out}.__mul__({value(f)}, box)")
-        return f"{out}.__mul__({value(factors[-1])}, box{'' if var is None else f', {var!r}'})"
+        # the last product replaces the partial one, which a walk would have dropped
+        self.emit(depth, f"{out} = {out}.__mul__({value(factors[-1])}, box{'' if var is None else f', {var!r}'})")
+        return out
 
     def residue(self, node: RRes, slot, depth: int) -> str:
         body = node.body
@@ -421,14 +423,14 @@ class _Generator:
         # the residue of rest * geo[ratio], exchanged with the geometric sum;
         # where the exchange does not apply, the product of the same values
         ratio = self.series(geos[0].body, slot, depth)
-        rest, out = self.fresh("s"), self.fresh("s")
-        self.emit(depth, f"{rest} = LaurentSeries.constant(vars, 1)")
+        out = self.fresh("s")
+        self.emit(depth, f"{out} = LaurentSeries.constant(vars, 1)")
         values = []
         for f in body.factors:
             values.append(f if isinstance(f, RGeo) else self.series(f, slot, depth))
             if not isinstance(f, RGeo):
-                self.emit(depth, f"{rest} = {rest}.__mul__({values[-1]}, box)")
-        self.emit(depth, f"{out} = _geo_residue({ratio}, {rest}, box, {node.var!r})")
+                self.emit(depth, f"{out} = {out}.__mul__({values[-1]}, box)")
+        self.emit(depth, f"{out} = _geo_residue({ratio}, {out}, box, {node.var!r})")
         self.emit(depth, f"if {out} is None:")
         collapse = lambda *_: f"geometric_collapse({ratio}, box)"  # noqa: E731
         values = [self.series(v, slot, depth + 1, collapse) if isinstance(v, RGeo) else v for v in values]

@@ -163,3 +163,21 @@ def test_an_integral_subtree_equals_its_series_walk(text, window):
         want.coeffs.get((0,) * len(vars)))
     assert (got.sup_lo, got.sup_hi, got.acc_lo, got.acc_hi) == (
         want.sup_lo, want.sup_hi, want.acc_lo, want.acc_hi)
+
+
+def test_a_full_memo_is_emptied_before_the_next_entry(catalog, monkeypatch):
+    script = catalog.script("proof-eq1")
+    envs = script.instances({p: (0, 1) for p in script.params})[:6]
+    want = run_proof_script(script, envs).canonical_json()
+    sizes = []
+    keep = resexpr._keep
+
+    def watching(memo, key, value):
+        out = keep(memo, key, value)
+        sizes.append(len(memo))
+        return out
+
+    monkeypatch.setattr(resexpr, "MEMO_LIMIT", 16)
+    monkeypatch.setattr(resexpr, "_keep", watching)
+    assert run_proof_script(script, envs).canonical_json() == want
+    assert max(sizes) == 16 and sizes.count(1) > 1
