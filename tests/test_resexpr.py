@@ -17,6 +17,8 @@ from binomid.resexpr import (EvalContext, RAdd, RBinom, RInt, RPow, RProd, RSum,
                              parse_resexpr)
 from binomid.series import LaurentSeries, window_box
 
+from test_oracle import oracle_value
+
 STATE_TEXTS = sorted(
     {text for script in load_builtin().scripts.values() for step in script.steps
      for text in (step.before_text, step.after_text) if text}
@@ -181,3 +183,26 @@ def test_a_full_memo_is_emptied_before_the_next_entry(catalog, monkeypatch):
     monkeypatch.setattr(resexpr, "_keep", watching)
     assert run_proof_script(script, envs).canonical_json() == want
     assert max(sizes) == 16 and sizes.count(1) > 1
+
+
+@pytest.mark.parametrize("text, exchanged, value", [
+    # the ratio y*z has x-exponent 0: no exchange, the product of the values
+    ("res(y)[res(z)[y^(-2)*z^(-2)*res(x)[x^(-1)*(1+x)^(n)*geo[y*z]]]]", False, lambda n: 1),
+    ("res(y)[res(z)[y^(-1)*z^(-1)*res(x)[x^(-2)*(1+x)^(n)*geo[x*y*z]]]]", True, lambda n: n),
+], ids=["product", "exchange"])
+def test_a_geometric_residue_equals_the_oracle_on_either_path(text, exchanged, value, monkeypatch):
+    taken = []
+    exchange = resexpr._geo_residue
+
+    def recording(*args):
+        out = exchange(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(resexpr, "_geo_residue", recording)
+    node, vars = parse_resexpr(text), ("x", "y", "z")
+    for n in range(4):
+        taken.clear()
+        got = evaluate(node, EvalContext(vars, dict.fromkeys(vars, (-4, 4)), 2, {"n": n}))
+        assert got.constant_value() == oracle_value(node, {"n": n}) == value(n)
+        assert taken == [exchanged]
