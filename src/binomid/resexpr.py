@@ -203,11 +203,10 @@ class EvalContext:
     # value cache for the root nodes evaluated in this environment
     cache: dict | None = None
     memo: dict = field(default_factory=dict)
-    box: tuple | None = None
+    box: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.box is None:
-            self.box = window_box(self.vars, self.window)
+        self.box = window_box(self.vars, self.window)
 
 
 def free_params(node: RNode) -> tuple[str, ...]:
@@ -249,11 +248,10 @@ def evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
     terms in index order, a product's factors left to right, each multiplied
     in and clipped to the window in turn. A subtree of integers, binomials,
     products, sums and `isum`s is computed in int arithmetic and made a
-    constant series once, when the window holds exponent 0 of every
-    variable (a proof's always does): then every series value on the way
-    would be an exact constant, which its value fixes. Under any other
-    window a product of constants is clipped away, so the subtree takes the
-    series path.
+    constant series once. Where the window holds exponent 0 of every
+    variable (a proof's always does), every series value on the way would
+    be an exact constant, which its value fixes; under any other window the
+    subtree is its exact constant, as an integer leaf is.
     """
     cache = ctx.cache
     if cache is not None:
@@ -309,8 +307,6 @@ class _Generator:
         self.uses: list = []  # (linexpr, its parameters) in evaluation order
         self.count = 0
         self.params: dict[str, str] = {}
-        self.fold = True  # False while emitting an integral subtree's series path
-        self.needs_folds = False
 
     def fresh(self, prefix: str) -> str:
         self.count += 1
@@ -337,8 +333,6 @@ class _Generator:
         for name in ("env", "vars", "box", "probe", "memo"):
             self.emit(2, f"{name} = ctx.{name}")
         self.emit(2, "get = memo.get")
-        if self.needs_folds:
-            self.emit(2, "folds = max(box[0], default=0) <= 0 <= min(box[1], default=0)")
         if self.params:
             self.emit(2, "try:")
             for name, local in self.params.items():
@@ -363,22 +357,11 @@ class _Generator:
         return out
 
     def compute(self, node: RNode, slot, depth: int) -> str:
-        """A node's value, computed; an integral one in int arithmetic where
-        the window holds exponent 0 (`folds`), else as series."""
-        if isinstance(node, (RInt, RBinom)):
+        """A node's value, computed; an integral one in int arithmetic."""
+        if _integral(node):
             return f"LaurentSeries.constant(vars, {self.integer(node, slot, depth)})"
         if isinstance(node, RVar):
             return f"_variable(vars, {node.name!r})"
-        if self.fold and _integral(node):
-            out = self.fresh("s")
-            self.needs_folds = True
-            self.emit(depth, "if folds:")
-            self.emit(depth + 1, f"{out} = LaurentSeries.constant(vars, {self.integer(node, slot, depth + 1)})")
-            self.emit(depth, "else:")
-            self.fold = False
-            self.emit(depth + 1, f"{out} = {self.compute(node, slot, depth + 1)}")
-            self.fold = True
-            return out
         if isinstance(node, RPow):
             base = self.series(node.base, slot, depth)
             return f"{base}.pow({self.lin(node.exponent, slot)}, box)"

@@ -151,20 +151,48 @@ def _series_walk(node, vars, box, env):
     return out
 
 
-@pytest.mark.parametrize("window", [{"x": (-2, 2), "y": (0, 3)}, {"x": (1, 4), "y": (-2, 2)},
-                                    {"x": (-3, -1), "y": (2, 1)}, {}])
-@pytest.mark.parametrize("text", ["2*3", "C(n,2)*sum(k,0,n)[C(n,k)*C(k,1)]-6", "1+C(n,1)*0",
-                                  "sum(k,0,n)[C(n,k)*2-C(n,k)*2]", "-(2*C(n,4))"])
-def test_an_integral_subtree_equals_its_series_walk(text, window):
-    # int arithmetic where the window holds exponent 0, the series path elsewhere
-    vars = tuple(window) or ("x",)
-    node, env = parse_resexpr(text), {"n": 3}
-    got = evaluate(node, EvalContext(vars, window, 2, env))
-    want = _series_walk(node, vars, window_box(vars, window), env)
-    assert got.coeffs == want.coeffs and type(got.coeffs.get((0,) * len(vars))) is type(
-        want.coeffs.get((0,) * len(vars)))
+def _assert_same_series(got, want):
+    """Equal coefficients of the same type, and equal boxes."""
+    origin = (0,) * len(got.vars)
+    assert got.coeffs == want.coeffs
+    assert type(got.coeffs.get(origin)) is type(want.coeffs.get(origin))
     assert (got.sup_lo, got.sup_hi, got.acc_lo, got.acc_hi) == (
         want.sup_lo, want.sup_hi, want.acc_lo, want.acc_hi)
+
+
+WINDOWS = [{"x": (-2, 2), "y": (0, 3)}, {"x": (1, 4), "y": (-2, 2)}, {"x": (-3, -1), "y": (2, 1)}, {}]
+# each text's value at n = 3
+INTEGRAL_VALUES = {"2*3": 6, "C(n,2)*sum(k,0,n)[C(n,k)*C(k,1)]-6": 30, "1+C(n,1)*0": 1,
+                   "sum(k,0,n)[C(n,k)*2-C(n,k)*2]": 0, "-(2*C(n,4))": 0}
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("text", list(INTEGRAL_VALUES))
+def test_an_integral_subtree_equals_its_series_walk(text, window):
+    # where the window holds exponent 0 the walk's every value is an exact
+    # constant; under any other window the subtree is its exact constant
+    vars = tuple(window) or ("x",)
+    node, env, box = parse_resexpr(text), {"n": 3}, window_box(vars, window)
+    got = evaluate(node, EvalContext(vars, window, 2, env))
+    if all(lo <= 0 <= hi for lo, hi in zip(*box)):
+        want = _series_walk(node, vars, box, env)
+    else:
+        want = LaurentSeries.constant(vars, INTEGRAL_VALUES[text])
+    _assert_same_series(got, want)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_an_integral_product_equals_its_integer_leaf(window):
+    vars = tuple(window) or ("x",)
+    value = lambda text: evaluate(parse_resexpr(text), EvalContext(vars, window, 2, {}))
+    _assert_same_series(value("C(3,1)*C(2,1)"), value("6"))
+
+
+def test_an_integral_isum_probes_its_terms_under_a_window_without_exponent_0():
+    ctx = EvalContext(("x",), {"x": (1, 4)}, 2, {})
+    for text in ("isum(k,0)[C(3,k)]", "isum(k,0)[C(3,k)*2]"):
+        with pytest.raises(resexpr.SupportBoundError, match=r"term at k=1 is not zero"):
+            evaluate(parse_resexpr(text), ctx)
 
 
 def test_a_full_memo_is_emptied_before_the_next_entry(catalog, monkeypatch):
