@@ -203,11 +203,12 @@ def _check_step_in_context(
     if index == 0:
         # tie the script to its subject: the opening state is the identity's lhs
         subject_lhs = eval_side(script.subject.lhs, ctx.env)
-        if before.constant_value() != subject_lhs:
-            return StepResult(
-                False,
-                f"opening state {before.constant_value()} != subject lhs {subject_lhs}",
-            )
+        try:
+            opening = before.constant_value()
+        except EngineError as exc:
+            return StepResult(False, f"{type(exc).__name__}: {exc}")
+        if opening != subject_lhs:
+            return StepResult(False, f"opening state {opening} != subject lhs {subject_lhs}")
     return _PASSED
 
 

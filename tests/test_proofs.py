@@ -359,6 +359,20 @@ def test_engine_error_is_a_failed_step(catalog):
     assert report.failures[0].message.startswith("EngineError")
 
 
+def test_a_non_constant_opening_state_fails_step_0(catalog):
+    # both states of step 0 times x: they agree, but the opening state is no number
+    script = catalog.script("proof-eq1")
+    step = script.steps[0]
+    before, after = (f"x*({text})" for text in (step.before_text, step.after_text))
+    steps = (dataclasses.replace(step, before_text=before, before=parse_resexpr(before),
+                                 after_text=after, after=parse_resexpr(after)),) + script.steps[1:]
+    script = dataclasses.replace(script, steps=steps)
+    env = {"b": 1, "c": 1, "d": 1, "p": 1, "n": 2}
+    assert script.admissible(env)
+    report = run_proof_script(script, [env], window=2)
+    assert [(f.step, f.message) for f in report.failures] == [(0, "EngineError: series is not constant")]
+
+
 def test_internal_value_error_is_not_a_failed_step(catalog, monkeypatch):
     # a bug outside the engine's own checks must not pass for a false proof
     from binomid import proofs
