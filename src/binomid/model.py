@@ -89,10 +89,6 @@ class LinExpr:
     coeffs: tuple[tuple[str, int], ...] = ()
 
     @staticmethod
-    def of(const: int = 0, **vars: int) -> "LinExpr":
-        return LinExpr.make(const, vars)
-
-    @staticmethod
     def make(const: int, coeffs: Mapping[str, int]) -> "LinExpr":
         items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
         return LinExpr(const, items)
@@ -231,9 +227,6 @@ class Identity:
     lhs: Side
     rhs: Term
     constraints: tuple[LinExpr, ...] = ()
-
-    def bound_var(self) -> Optional[str]:
-        return self.lhs.bound_var if isinstance(self.lhs, SumExpr) else None
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Optional
 
 from .dsl import parse_linexpr, parse_term
 from .model import (
+    ConstraintError,
     Identity,
     LinExpr,
     Substitution,
@@ -54,6 +55,7 @@ SERIES_VARS = ("x", "y", "z")
 
 ENGINE_ERRORS = (
     WindowError,
+    DegenerateWindowError,
     NonUnitError,
     DivergentSumError,
     SupportBoundError,
@@ -147,15 +149,6 @@ def load_script(data: dict, resolve: Callable[[str], Identity]) -> ProofScript:
 # Step checking
 
 
-@dataclass(frozen=True)
-class StepResult:
-    ok: bool
-    message: str = ""
-
-
-_PASSED = StepResult(True)  # frozen, so every passing check can return it
-
-
 def _context(script: ProofScript, env: Mapping[str, int], window: int, memo: dict) -> EvalContext:
     """The instance's context; instances of one budget may share `memo`."""
     full = script.instance_env(env)
@@ -175,13 +168,14 @@ def _check_step_in_context(
     index: int,
     ctx: EvalContext,
     trace: Optional[Callable[[str, LaurentSeries], None]] = None,
-) -> StepResult:
-    """Check one step of a script at the instance of `ctx`.
+) -> Optional[str]:
+    """Check one step of a script at the instance of `ctx`: None if it
+    passes, else the failure message.
 
     Expression steps compare the before/after coefficient tables on the
-    intersection of their accuracy windows (a degenerate intersection is an
-    error, not a pass). The Recognize step checks the substitution into the
-    target identity structurally and numerically.
+    intersection of their accuracy windows (an empty intersection fails the
+    step, as every engine error does). The Recognize step checks the
+    substitution into the target identity structurally and numerically.
     """
     step = script.steps[index]
     if step.kind == "Recognize":
@@ -194,22 +188,20 @@ def _check_step_in_context(
         if trace:
             trace(f"step {index} after", after)
         diff = first_difference(before, after)
-    except DegenerateWindowError as exc:
-        raise WindowError(f"step {index} ({step.kind}): {exc}") from exc
     except ENGINE_ERRORS as exc:
-        return StepResult(False, f"{type(exc).__name__}: {exc}")
+        return f"{type(exc).__name__}: {exc}"
     if diff is not None:
-        return StepResult(False, _difference_message(diff, ctx.vars))
+        return _difference_message(diff, ctx.vars)
     if index == 0:
         # tie the script to its subject: the opening state is the identity's lhs
         subject_lhs = eval_side(script.subject.lhs, ctx.env)
         try:
             opening = before.constant_value()
         except EngineError as exc:
-            return StepResult(False, f"{type(exc).__name__}: {exc}")
+            return f"{type(exc).__name__}: {exc}"
         if opening != subject_lhs:
-            return StepResult(False, f"opening state {opening} != subject lhs {subject_lhs}")
-    return _PASSED
+            return f"opening state {opening} != subject lhs {subject_lhs}"
+    return None
 
 
 def _recognition(script: ProofScript, step: ProofStep):
@@ -238,26 +230,30 @@ def _recognition(script: ProofScript, step: ProofStep):
     return specialized, Term(None, specialized.rhs.factors + script.carried.factors)
 
 
-def _check_recognize(script: ProofScript, index: int, ctx: EvalContext) -> StepResult:
-    """Check a Recognize step at one instance. The split of the final state,
-    the carried-multiplier and map checks, the substituted and canonicalized
-    target and its rhs product are cached once per ProofScript object
-    (`ProofScript.recognitions`); only the numeric checks run per instance,
-    each compiling its identity at the call."""
+def _check_recognize(script: ProofScript, index: int, ctx: EvalContext) -> Optional[str]:
+    """Check a Recognize step at one instance: None, or the failure message.
+    The split of the final state, the carried-multiplier and map checks, the
+    substituted and canonicalized target and its rhs product are cached once
+    per ProofScript object (`ProofScript.recognitions`); only the numeric
+    checks run per instance, each compiling its identity at the call. A
+    premise or subject whose constraints exclude the instance fails the step."""
     prepared = script.recognitions[index]
     if isinstance(prepared, str):
-        return StepResult(False, prepared)
+        return prepared
     specialized, product = prepared
     # (ii) substituted closed form times carried multiplier gives the subject rhs
     if eval_side(product, ctx.env) != eval_side(script.subject.rhs, ctx.env):
-        return StepResult(False, "substituted rhs times carried multiplier != subject rhs")
+        return "substituted rhs times carried multiplier != subject rhs"
 
     # close the argument numerically: premise instance and subject instance hold
-    if not eval_identity(specialized, ctx.env).holds:
-        return StepResult(False, f"substituted {script.target.name} fails at this instance")
-    if not eval_identity(script.subject, ctx.env).holds:
-        return StepResult(False, "subject identity fails at this instance")
-    return _PASSED
+    try:
+        if not eval_identity(specialized, ctx.env).holds:
+            return f"substituted {script.target.name} fails at this instance"
+        if not eval_identity(script.subject, ctx.env).holds:
+            return "subject identity fails at this instance"
+    except ConstraintError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +308,9 @@ def _run_instance(script: ProofScript, env, window: int, trace, memo) -> tuple[i
     """Number of steps passed, and the first failure if any."""
     ctx = _context(script, env, window, memo)
     for i in range(len(script.steps)):
-        try:
-            result = _check_step_in_context(script, i, ctx, trace)
-        except WindowError as exc:
-            raise WindowError(f"{script.name} at {env}: {exc}") from exc
-        if not result.ok:
-            return i, StepFailure(dict(env), i, script.steps[i].kind, result.message)
+        message = _check_step_in_context(script, i, ctx, trace)
+        if message is not None:
+            return i, StepFailure(dict(env), i, script.steps[i].kind, message)
     return len(script.steps), None
 
 
@@ -352,15 +345,12 @@ def _received(data: bytes) -> _Shipped:
 
 
 def _script_worker(args):
-    """One shard's results in shard order, and its first WindowError.
+    """One shard's results in shard order.
 
     The script arrives as a `_Shipped`. Instances of one budget share a
     window and so one evaluation memo. They are visited in budget order,
     and each memo is dropped when its budget is done; a traced run keeps
-    instance order, so its output reads instance by instance. A WindowError
-    is kept as in instance order: the first instance that raises it wins,
-    later instances are not run, and it is returned with its index in
-    range(total) so that the caller can pick the first across shards.
+    instance order, so its output reads instance by instance.
     """
     shipped, shard, envs, window, trace = args
     script = shipped.script
@@ -369,19 +359,12 @@ def _script_worker(args):
     if trace is None:
         order = sorted(order, key=budgets.__getitem__)
     results = [None] * len(envs)
-    memo, budget, error = None, None, None
+    memo, budget = None, None
     for i in order:
-        if error is not None and i > error[0]:
-            continue
         if budgets[i] != budget:
             memo, budget = {}, budgets[i]
-        try:
-            results[i] = _run_instance(script, envs[i], window, trace, memo)
-        except WindowError as exc:
-            error = (i, exc)
-    if error is not None:
-        error = (shard[error[0]], error[1])
-    return shard, results, error
+        results[i] = _run_instance(script, envs[i], window, trace, memo)
+    return shard, results
 
 
 def run_proof_script(
@@ -394,9 +377,10 @@ def run_proof_script(
     """Check every step of a script at every instance.
 
     Instances are independent; checking stops at the first failing step per
-    instance and the report merges results in instance order. A WindowError
-    raises for the first instance in instance order that meets one. A run
-    with a trace callback stays in-process, since callbacks do not pickle.
+    instance and the report merges results in instance order. Every way a
+    step can fail is a failure of that step in the report; only a bug
+    raises. A run with a trace callback stays in-process, since callbacks
+    do not pickle.
     """
     started = time.perf_counter()
     instances = list(instances)
@@ -407,11 +391,8 @@ def run_proof_script(
         1 if trace is not None else jobs,
         lambda shard: (shipped, shard, [instances[i] for i in shard], window, trace),
     )
-    errors = [error for _, _, error in chunks if error is not None]
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
     results = [None] * len(instances)
-    for shard, shard_results, _ in chunks:
+    for shard, shard_results in chunks:
         results[shard.start::shard.step] = shard_results
     passes = [0] * len(script.steps)
     failures = []

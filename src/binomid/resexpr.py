@@ -210,11 +210,7 @@ class EvalContext:
 
 
 def free_params(node: RNode) -> tuple[str, ...]:
-    """The sorted names a node's value depends on; cached on the node."""
-    try:
-        return node._free
-    except AttributeError:
-        pass
+    """The sorted names a node's value depends on."""
     names: set[str] = set()
     if isinstance(node, RBinom):
         names.update(node.upper.variables(), node.lower.variables())
@@ -234,14 +230,12 @@ def free_params(node: RNode) -> tuple[str, ...]:
             names.update(b.variables())
     elif isinstance(node, (RRes, RGeo)):
         names.update(free_params(node.body))
-    free = tuple(sorted(names))
-    object.__setattr__(node, "_free", free)  # kept out of pickles, like the hash
-    return free
+    return tuple(sorted(names))
 
 
 def evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
     """The node's value in ctx, by the function generated for it on its
-    first evaluation (`_compiled`) and cached on the node, out of pickles.
+    first evaluation and compiled once per equal node (`_compiled`).
 
     The function keeps every non-leaf node's value in `ctx.memo`, and runs
     the series operations in the order a walk of the tree would: a sum's
@@ -258,12 +252,7 @@ def evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
         hit = cache.get(node)
         if hit is not None:
             return hit
-    try:
-        run = node._run
-    except AttributeError:
-        run = _compiled(node)
-        object.__setattr__(node, "_run", run)  # kept out of pickles, like the hash
-    value = run(ctx)
+    value = _compiled(node)(ctx)
     if cache is not None:
         cache[node] = value
     return value

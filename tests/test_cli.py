@@ -11,6 +11,8 @@ from binomid.catalog import load_builtin
 from binomid.cli import main
 from binomid.resexpr import parse_resexpr
 
+from test_proofs import DISJOINT, with_disjoint_windows
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -260,6 +262,19 @@ def test_negative_power_of_three_terms_fails_its_own_step(capsys, monkeypatch):
     assert failures and all(f["step"] == 1 for f in failures)
     assert all(f["message"].startswith("NonUnitError: negative power needs a base")
                for f in failures)
+
+
+def test_disjoint_accuracy_windows_fail_their_own_step(capsys, monkeypatch):
+    cat = load_builtin()
+    script = with_disjoint_windows(cat.scripts["proof-eq1"])
+    monkeypatch.setattr("binomid.cli.load_builtin",
+                        lambda: dataclasses.replace(cat, scripts={**cat.scripts, script.name: script}))
+    code, out, _ = run_cli(capsys, "prove", "--script", "proof-eq1", "--range", "*=0..1",
+                           "--format", "json")
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert {f["step"] for f in failures} == {1, 2}
+    assert all(f["message"] == DISJOINT for f in failures if f["step"] == 2)
 
 
 def test_fuzz_deterministic_output(capsys):

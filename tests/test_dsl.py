@@ -88,12 +88,12 @@ def test_multi_term_rhs_is_a_parse_error():
 
 
 def test_parse_linexpr_forms():
-    assert parse_linexpr("-d") == LinExpr.of(0, d=-1)
-    assert parse_linexpr("2*k+1") == LinExpr.of(1, k=2)
-    assert parse_linexpr("a+b-c-d") == LinExpr.of(0, a=1, b=1, c=-1, d=-1)
+    assert parse_linexpr("-d") == LinExpr.make(0, {"d": -1})
+    assert parse_linexpr("2*k+1") == LinExpr.make(1, {"k": 2})
+    assert parse_linexpr("a+b-c-d") == LinExpr.make(0, {"a": 1, "b": 1, "c": -1, "d": -1})
     assert parse_linexpr("-5") == LinExpr(-5)
     assert parse_linexpr("3-2") == LinExpr(1)
-    assert parse_linexpr("k+2*k-1-k") == LinExpr.of(-1, k=2)
+    assert parse_linexpr("k+2*k-1-k") == LinExpr.make(-1, {"k": 2})
     assert parse_linexpr("+k-k") == LinExpr(0)
 
 

@@ -51,7 +51,7 @@ def oracle_side(side, env) -> int:
 
 
 def oracle_constraints_satisfied(ident, env) -> bool:
-    bv = ident.bound_var()
+    bv = ident.lhs.bound_var if isinstance(ident.lhs, SumExpr) else None
     pointwise = []
     for c in ident.constraints:
         if bv is not None and bv in c.variables():

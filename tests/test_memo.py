@@ -6,8 +6,6 @@ memos start empty, also for every corrupted script. A memo entry is handed
 to every later lookup of its key: no evaluation may edit a shared value in
 place, and every entry must equal a fresh evaluation of its node.
 """
-import re
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +14,6 @@ from binomid.proofs import (ProofReport, StepFailure, _check_step_in_context, _c
                             run_proof_script)
 from binomid.resexpr import EvalContext, evaluate, free_params
 
-from conftest import RecordingPool
 from test_proofs import mutate_step
 
 SCRIPTS = ("proof-eq1", "proof-eq2")
@@ -33,9 +30,9 @@ def _merged(script, window, envs, first=0) -> ProofReport:
         ctx = _context(script, env, window, {})
         reached = len(script.steps)
         for i in range(first, len(script.steps)):
-            result = _check_step_in_context(script, i, ctx)
-            if not result.ok:
-                failures.append(StepFailure(dict(env), i, script.steps[i].kind, result.message))
+            message = _check_step_in_context(script, i, ctx)
+            if message is not None:
+                failures.append(StepFailure(dict(env), i, script.steps[i].kind, message))
                 reached = i
                 break
         passes = [n + (i < reached) for i, n in enumerate(passes)]
@@ -99,58 +96,27 @@ def test_shared_memo_is_sound(catalog, run):
         assert _same(value, evaluate(node, fresh)), node
 
 
-def test_window_error_raises_for_the_first_instance_in_order(catalog, monkeypatch):
-    # instances run in budget order, but the error a run raises is the one
-    # a run in instance order meets first, and later instances are skipped
+def test_untraced_runs_visit_instances_in_budget_order_and_traced_runs_in_instance_order(
+        catalog, monkeypatch):
+    # instances of one budget share a memo, so an untraced run visits them
+    # budget by budget; a traced run's output reads instance by instance
     from binomid import proofs
-    from binomid.series import WindowError
 
     script = catalog.script("proof-eq1")
     envs = script.instances({p: (0, 2) for p in script.params})
     budget = lambda env: script.budget_hint.evaluate(script.instance_env(env))
-    early = max(envs, key=budget)
-    late = min(envs[envs.index(early) + 1:], key=budget)
-    assert budget(late) < budget(early)
+    assert sorted(envs, key=budget) != envs
     seen = []
     check = proofs._check_step_in_context
 
-    def failing(script, index, ctx, trace=None):
-        env = {p: ctx.env[p] for p in script.params}
-        seen.append(env)
-        if env in (early, late):
-            raise WindowError(f"at {env}")
+    def recording(script, index, ctx, trace=None):
+        if index == 0:
+            seen.append({p: ctx.env[p] for p in script.params})
         return check(script, index, ctx, trace)
 
-    monkeypatch.setattr(proofs, "_check_step_in_context", failing)
-    with pytest.raises(WindowError, match=re.escape(f"at {early}")):
-        run_proof_script(script, envs, window=2)
-    assert seen.index(late) < seen.index(early)
-    assert all(envs.index(env) <= envs.index(early) for env in seen[seen.index(early):])
-
-
-def test_window_error_across_shards_is_the_first_in_instance_order(catalog, monkeypatch,
-                                                                   recording_pool):
-    # shard 0 (even indices) runs before shard 1 in-process; the error of the
-    # later shard names the earlier instance, so it wins
-    from binomid import proofs, verify
-    from binomid.series import WindowError
-
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    script = catalog.script("proof-eq1")
-    envs = script.instances({p: (0, 1) for p in script.params})
-    early, late = envs[1], envs[2]
-    seen = []
-    check = proofs._check_step_in_context
-
-    def failing(script, index, ctx, trace=None):
-        env = {p: ctx.env[p] for p in script.params}
-        seen.append(env)
-        if env in (early, late):
-            raise WindowError(f"at {env}")
-        return check(script, index, ctx, trace)
-
-    monkeypatch.setattr(proofs, "_check_step_in_context", failing)
-    with pytest.raises(WindowError, match=re.escape(f"at {early}")):
-        run_proof_script(script, envs, window=2, jobs=2)
-    assert [pool.max_workers for pool in RecordingPool.made] == [2]
-    assert seen.index(late) < seen.index(early)
+    monkeypatch.setattr(proofs, "_check_step_in_context", recording)
+    run_proof_script(script, envs, window=2)
+    assert seen == sorted(envs, key=budget)
+    seen.clear()
+    run_proof_script(script, envs, window=2, trace=lambda label, value: None)
+    assert seen == envs

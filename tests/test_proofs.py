@@ -84,7 +84,7 @@ def test_check_step_trivial_equality(catalog):
     steps[idx] = trivial
     modified = dataclasses.replace(script, steps=tuple(steps))
     env = {"b": 1, "c": 1, "d": 1, "n": 2, "p": 1}
-    assert check_step(modified, idx, env, window=2).ok
+    assert check_step(modified, idx, env, window=2) is None
 
 
 def test_collect_residues_example(catalog):
@@ -92,8 +92,8 @@ def test_collect_residues_example(catalog):
     env = {"b": 2, "c": 1, "d": 1, "n": 2, "p": 1}
     a = env["c"] + env["d"] - env["b"]
     script = catalog.script("proof-eq1")
-    assert check_step(script, 5, env, window=2).ok  # CollectResidues
-    assert check_step(script, 6, env, window=2).ok  # symmetry to C(b-d+j, a+b+p-n)
+    assert check_step(script, 5, env, window=2) is None  # CollectResidues
+    assert check_step(script, 6, env, window=2) is None  # symmetry to C(b-d+j, a+b+p-n)
     collected = sum(
         comb_oracle(a, j)
         * comb_oracle(env["p"], env["c"] - a + j)
@@ -113,7 +113,7 @@ def test_collect_residues_example(catalog):
 def test_binom_expand_step(catalog):
     script = catalog.script("proof-eq1")
     env = {"b": 0, "c": 1, "d": 2, "n": 1, "p": 0}  # a = 3
-    assert check_step(script, 4, env, window=2).ok
+    assert check_step(script, 4, env, window=2) is None
 
 
 def test_carried_multiplier_invariant_eq1(catalog):
@@ -285,8 +285,8 @@ def test_window_doubling_agrees(catalog):
     script = catalog.script("proof-eq2")
     env = {"a": 2, "c": 1, "d": 2, "n": 2, "p": 1}
     for idx in range(len(script.steps)):
-        assert check_step(script, idx, env, window=2).ok
-        assert check_step(script, idx, env, window=4).ok
+        assert check_step(script, idx, env, window=2) is None
+        assert check_step(script, idx, env, window=4) is None
 
 
 def test_trace_callback_invoked(catalog):
@@ -348,6 +348,47 @@ def _with_after(script, idx, text):
     steps = list(script.steps)
     steps[idx] = dataclasses.replace(steps[idx], after_text=text, after=parse_resexpr(text))
     return dataclasses.replace(script, steps=tuple(steps))
+
+
+DISJOINT = "DegenerateWindowError: accuracy windows do not overlap"
+
+
+def with_disjoint_windows(script):
+    """proof-eq1 with step 1 ending in x^(40)/(1+x) and step 2 turning it into
+    x^(-40)/(1+x): step 2's two states know no coefficient in common."""
+    script = _with_after(script, 1, "x^(40)*(1+x)^(-1)")
+    script = _with_after(script, 2, "x^(-40)*(1+x)^(-1)")
+    steps = list(script.steps)
+    steps[2] = dataclasses.replace(steps[2], before_text=steps[1].after_text, before=steps[1].after)
+    return dataclasses.replace(script, steps=tuple(steps))
+
+
+def test_disjoint_accuracy_windows_fail_their_own_step(catalog, monkeypatch, own_workers):
+    from binomid import verify
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    script = with_disjoint_windows(catalog.script("proof-eq1"))
+    envs = small_instances(script, hi=1)
+    serial = run_proof_script(script, envs, window=2)
+    assert {f.step for f in serial.failures} == {1, 2}
+    assert all(f.message == DISJOINT for f in serial.failures if f.step == 2)
+    sharded = run_proof_script(script, envs, window=2, jobs=2)
+    assert own_workers.pool is not None
+    assert sharded.canonical_json() == serial.canonical_json()
+
+
+@pytest.mark.parametrize("role, clause, name", [("target", "m-1", "chu2gen-instance"),
+                                                ("subject", "b-1", "eq1")])
+def test_a_premise_or_subject_excluding_the_instance_fails_recognize(catalog, role, clause, name):
+    script = catalog.script("proof-eq1")
+    ident = getattr(script, role)
+    narrowed = dataclasses.replace(ident, constraints=ident.constraints + (parse_linexpr(clause),))
+    script = dataclasses.replace(script, **{role: narrowed})
+    report = run_proof_script(script, small_instances(script, hi=1), window=2)
+    last = len(script.steps) - 1
+    assert report.failures and {f.step for f in report.failures} == {last}
+    assert all(f.message.startswith(f"ConstraintError: identity '{name}': constraints violated at")
+               for f in report.failures)
 
 
 def test_engine_error_is_a_failed_step(catalog):

@@ -102,8 +102,8 @@ TARGET_NAMES = ("k", "k1", "x", "a", "y")
 def renamed(ident, names):
     """ident with parameter i renamed to names[i], its bound variable to j."""
     m = {p: LinExpr.var(q) for p, q in zip(ident.params, names)}
-    if ident.bound_var() is not None:
-        m[ident.bound_var()] = LinExpr.var("j")
+    if isinstance(ident.lhs, SumExpr):
+        m[ident.lhs.bound_var] = LinExpr.var("j")
 
     def term(t):
         sign = t.sign_exponent.subst(m) if t.sign_exponent is not None else None
