@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomid import arith, resexpr
+from binomid import arith, resexpr, series
 from binomid.catalog import load_builtin
 from binomid.dsl import ParseError
 from binomid.model import EvalError, LinExpr
 from binomid.proofs import _context, run_proof_script
-from binomid.resexpr import (EvalContext, RAdd, RBinom, RInt, RPow, RProd, RSum, RVar, evaluate,
-                             parse_resexpr)
-from binomid.series import LaurentSeries, window_box
+from binomid.resexpr import (EvalContext, RAdd, RBinom, RGeo, RInt, RISum, RPow, RProd, RRes, RSum,
+                             RVar, evaluate, parse_resexpr)
+from binomid.series import LaurentSeries, NonUnitError, WindowError, res, window_box
 
-from test_oracle import oracle_value
+from test_oracle import oracle_value, states
 
 STATE_TEXTS = sorted(
     {text for script in load_builtin().scripts.values() for step in script.steps
@@ -235,3 +235,206 @@ def test_a_geometric_residue_equals_the_oracle_on_either_path(text, exchanged, v
         got = evaluate(node, EvalContext(vars, dict.fromkeys(vars, (-4, 4)), 2, {"n": n}))
         assert got.constant_value() == oracle_value(node, {"n": n}) == value(n)
         assert taken == [exchanged]
+
+
+# ---------------------------------------------------------------------------
+# Residue-directed products
+
+
+def _bound_residues(node, env, probe):
+    """Every res node under node, with each environment its binders give it."""
+    if isinstance(node, RRes):
+        yield node, env
+    if isinstance(node, (RSum, RISum)):
+        lo, hi = ((node.lower.evaluate(env), node.upper.evaluate(env)) if isinstance(node, RSum)
+                  else (0, max(node.bound.evaluate(env), -1) + probe))
+        for k in range(lo, hi + 1):
+            yield from _bound_residues(node.body, {**env, node.var: k}, probe)
+        return
+    if isinstance(node, RProd):
+        kids = node.factors
+    elif isinstance(node, RAdd):
+        kids = [t for _, t in node.terms]
+    else:
+        kids = [getattr(node, a) for a in ("base", "body") if hasattr(node, a)]
+    for kid in kids:
+        yield from _bound_residues(kid, env, probe)
+
+
+def _walked_residue(node, ctx):
+    """A residue as a walk over the tree computes it: each factor's value
+    multiplied in as it is computed, clipped to the window only, the last
+    multiplication taking the innermost residue of the chain, then `res` for
+    each outer variable. A geometric residue takes the exchange over that
+    product and every power of the ratio clipped to the window (a chain of
+    one variable clips nothing else), where the exchange applies."""
+    chain = []
+    while isinstance(node, RRes):
+        chain.append(node.var)
+        node = node.body
+    value, box, var = (lambda f: evaluate(f, ctx)), ctx.box, chain[-1]
+    out = None
+    if not isinstance(node, RProd):
+        out = res(value(node), var)
+    elif sum(isinstance(f, RGeo) for f in node.factors) == 1:
+        (geo,) = [f for f in node.factors if isinstance(f, RGeo)]
+        ratio, rest = value(geo.body), LaurentSeries.constant(ctx.vars, 1)
+        for f in node.factors:
+            if f is not geo:
+                rest = rest.__mul__(value(f), box)
+        out = resexpr._geo_residue(ratio, (rest,), box, (var,))
+    if out is None:
+        out = value(node.factors[0])
+        for k, f in enumerate(node.factors[1:], 2):
+            out = out.__mul__(value(f), box, var if k == len(node.factors) else None)
+    for v in reversed(chain[:-1]):
+        out = res(out, v)
+    return out
+
+
+def _outcome(compute):
+    """A computed series, or the type and message of what it raised."""
+    try:
+        return compute()
+    except Exception as err:  # noqa: BLE001 - the error is the outcome compared
+        return type(err), str(err)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, LaurentSeries):
+        assert isinstance(got, LaurentSeries), got
+        _assert_same_series(got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("window", [0, 2, 4])
+@pytest.mark.parametrize("name", ["proof-eq1", "proof-eq2"])
+def test_every_shipped_residue_equals_its_walk(catalog, name, window):
+    # each res node, also the inner ones of a chain, evaluated as a root; the
+    # walk has a memo of its own, so no value the engine memoized feeds it
+    script = catalog.script(name)
+    checked = set()
+    for env in script.instances({p: (0, 2) for p in script.params}):
+        ctx, memo = _context(script, env, window, {}), {}
+        for state in states(script):
+            for node, inner in _bound_residues(state, ctx.env, ctx.probe):
+                got = evaluate(node, EvalContext(ctx.vars, ctx.window, ctx.probe, inner, None, ctx.memo))
+                walk = EvalContext(ctx.vars, ctx.window, ctx.probe, inner, None, memo)
+                _assert_same_outcome(got, _outcome(lambda: _walked_residue(node, walk)))
+                checked.add(node)
+    assert len(checked) >= 10
+
+
+VARS = ("x", "y", "z")
+
+
+@pytest.mark.parametrize("text, window, error", [
+    # a zero factor, also beside supports unbounded on either side: the
+    # product is 0 whatever boxes its partial products were clipped to
+    ("res(y)[res(z)[(1+z)^(n)*C(1,2)*y^(-1)*z^(-1)]]", {}, None),
+    ("res(y)[res(z)[geo[z^(-1)]*(1+z)^(-1)*C(1,2)*geo[y]*y^(-1)]]", {}, None),
+    ("res(y)[res(z)[(1+y)^(n)*(1+z)^(-1)*y^(-2)*z^(-3)]]", {}, None),
+    ("res(y)[res(z)[(1+z)^(-1)*(1+y)^(n)*z^(-2)*y^(-1)*(1+y)^(-1)]]", {}, None),
+    # the -1 plane of the inner, then of the outer residue outside the window
+    ("res(y)[res(x)[(1+x)^(n)*x^(-1)*(1+y)^(2)*y^(-2)]]", {"x": (0, 4)}, WindowError),
+    ("res(y)[res(x)[(1+x)^(n)*x^(-1)*(1+y)^(2)*y^(-2)]]", {"y": (0, 4)}, WindowError),
+    ("res(y)[res(z)[(1+y)^(n)*(1+y+z)^(-1)*y^(-1)*z^(-1)]]", {}, NonUnitError),
+    # the first failing factor's error, before a later factor's or the residue's
+    ("res(y)[res(z)[(1+y)^(n)*(1+y+z)^(-1)*w*y^(-1)*z^(-1)]]", {}, NonUnitError),
+    ("res(x)[x^(-3)*(1+x)^(n)*(1+x+y)^(-1)]", {"x": (0, 4)}, NonUnitError),
+    ("res(y)[res(z)[sum(j,0,n)[y^(j-1)*z^(-1-j)]]]", {}, None),
+    ("res(y)[res(z)[res(x)[x^(-1)*(1+x)^(n)*y^(-2)*z^(-2)*geo[y*z]]]]", {}, None),
+    ("res(y)[res(z)[res(x)[x^(-2)*(1+x)^(n)*y^(-1)*(1+z)^(2)*z^(-2)*geo[x*y*z]]]]", {}, None),
+    # each power of a ratio falling in y keeps the exponents the later ones need
+    ("res(y)[res(x)[x^(-4)*(1+x)^(3)*y*(1+y)^(n)*geo[x*y^(-1)]]]", {}, None),
+])
+def test_an_edge_case_residue_equals_its_walk(text, window, error, monkeypatch):
+    raised = []
+    mul = LaurentSeries.__mul__
+
+    def watching(self, other, window=None, var=None):
+        try:
+            return mul(self, other, window, var)
+        except Exception:
+            raised.append(var)
+            raise
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", watching)
+    node = parse_resexpr(text)
+    for n in range(4):
+        ctx, walk = (EvalContext(VARS, {**dict.fromkeys(VARS, (-4, 4)), **window}, 2, {"n": n})
+                     for _ in range(2))
+        got = _outcome(lambda: evaluate(node, ctx))
+        _assert_same_outcome(got, _outcome(lambda: _walked_residue(node, walk)))
+        if error is None:
+            assert isinstance(got, LaurentSeries)
+            assert got.constant_value() == oracle_value(node, {"n": n})
+        elif error is WindowError:
+            var = "x" if "x" in window else "y"
+            assert got == (WindowError, f"residue in '{var}': exponent -1 is outside the accuracy window")
+        else:
+            assert got[0] is error
+    # an intermediate product never raises: only a residue may
+    assert None not in raised
+
+
+def test_a_chain_over_a_product_is_one_memo_entry_and_an_exchange_needs_rest_known(monkeypatch):
+    calls = []
+    directed, exchange = resexpr._directed, resexpr._geo_residue
+
+    def directing(*args, **kwargs):
+        calls.append("directed")
+        return directed(*args, **kwargs)
+
+    def exchanging(*args):
+        out = exchange(*args)
+        calls.append(("exchange", out is not None))
+        return out
+
+    monkeypatch.setattr(resexpr, "_directed", directing)
+    monkeypatch.setattr(resexpr, "_geo_residue", exchanging)
+
+    def evaluated(text):
+        calls.clear()
+        ctx = EvalContext(VARS, dict.fromkeys(VARS, (-4, 4)), 2, {"n": 3})
+        node = parse_resexpr(text)
+        evaluate(node, ctx)
+        return [n for n, *_ in ctx.memo if isinstance(n, RRes)], node
+
+    # over a sum, each residue is a plain `res` with its own memo entry
+    kept, node = evaluated("res(y)[res(z)[sum(j,0,n)[y^(j-1)*z^(-1-j)]]]")
+    assert calls == [] and kept == [node.body, node]
+    kept, node = evaluated("res(y)[res(z)[(1+y)^(n)*(1+z)^(-1)*y^(-2)*z^(-3)]]")
+    assert calls == ["directed"] and kept == [node]
+    # the exchange's rest, then, where it does not apply, the product of every value
+    evaluated("res(y)[res(z)[res(x)[x^(-1)*(1+x)^(n)*y^(-2)*z^(-2)*geo[y*z]]]]")
+    assert calls == ["directed", ("exchange", False), "directed"]
+    # rest clipped in y and z only stays fully known in x, so the exchange applies
+    evaluated("res(y)[res(z)[res(x)[x^(-2)*(1+x)^(n)*y^(-1)*(1+z)^(2)*z^(-2)*geo[x*y*z]]]]")
+    assert calls == ["directed", ("exchange", True)]
+
+
+@pytest.mark.parametrize("name, bound", [("proof-eq1", 10_000), ("proof-eq2", 30_000)])
+def test_residue_directed_products_bound_the_pairs_formed(catalog, name, bound, monkeypatch):
+    # clipped to the window alone, the products formed 51,057 and 87,634
+    # pairs here; residue-directed, 7,037 and 20,687
+    formed = []
+    kernel = series._kernel_code
+
+    def counting_kernel(n):
+        pairs, shift = kernel(n)
+
+        def counting(left, rows, i, *bounds):
+            left = list(left)
+            formed.extend(len(rows.get(None if i is None else e[i], ())) for e, _ in left)
+            return pairs(left, rows, i, *bounds)
+
+        return counting, shift
+
+    monkeypatch.setattr(series, "_kernel_code", counting_kernel)
+    script = catalog.script(name)
+    for node in states(script):
+        for env in script.instances({p: (0, 2) for p in script.params}):
+            evaluate(node, _context(script, env, 2, {}))
+    assert 0 < sum(formed) <= bound
