@@ -177,9 +177,6 @@ class BinomFactor:
     def key(self):
         return (self.upper.key(), self.lower.key())
 
-    def __str__(self) -> str:
-        return f"C({self.upper},{self.lower})"
-
 
 @frozen_node
 class Term:

@@ -22,6 +22,7 @@ from typing import Callable, Mapping, Optional
 from .dsl import parse_linexpr, parse_term
 from .model import (
     ConstraintError,
+    EvalError,
     Identity,
     LinExpr,
     Substitution,
@@ -35,32 +36,18 @@ from .model import (
 from .resexpr import (
     EvalContext,
     RNode,
-    SupportBoundError,
     evaluate,
     parse_resexpr,
     split_carried_sum,
 )
 from .series import (
-    DegenerateWindowError,
-    DivergentSumError,
     EngineError,
     LaurentSeries,
-    NonUnitError,
-    WindowError,
     first_difference,
 )
 from .verify import shard_map
 
 SERIES_VARS = ("x", "y", "z")
-
-ENGINE_ERRORS = (
-    WindowError,
-    DegenerateWindowError,
-    NonUnitError,
-    DivergentSumError,
-    SupportBoundError,
-    EngineError,
-)
 
 
 @dataclass(frozen=True)
@@ -173,9 +160,10 @@ def _check_step_in_context(
     passes, else the failure message.
 
     Expression steps compare the before/after coefficient tables on the
-    intersection of their accuracy windows (an empty intersection fails the
-    step, as every engine error does). The Recognize step checks the
-    substitution into the target identity structurally and numerically.
+    intersection of their accuracy windows. Every `EngineError` (an empty
+    intersection too) and every `EvalError` (a parameter the script does not
+    bind) fails the step. The Recognize step checks the substitution into
+    the target identity structurally and numerically.
     """
     step = script.steps[index]
     if step.kind == "Recognize":
@@ -188,17 +176,14 @@ def _check_step_in_context(
         if trace:
             trace(f"step {index} after", after)
         diff = first_difference(before, after)
-    except ENGINE_ERRORS as exc:
+        if diff is not None:
+            return _difference_message(diff, ctx.vars)
+        opening = before.constant_value() if index == 0 else None
+    except (EngineError, EvalError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    if diff is not None:
-        return _difference_message(diff, ctx.vars)
     if index == 0:
         # tie the script to its subject: the opening state is the identity's lhs
         subject_lhs = eval_side(script.subject.lhs, ctx.env)
-        try:
-            opening = before.constant_value()
-        except EngineError as exc:
-            return f"{type(exc).__name__}: {exc}"
         if opening != subject_lhs:
             return f"opening state {opening} != subject lhs {subject_lhs}"
     return None

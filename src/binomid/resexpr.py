@@ -33,7 +33,7 @@ from .model import BinomFactor, EvalError, LinExpr, SumExpr, Term, _lin, frozen_
 from .series import INF, EngineError, LaurentSeries, geometric_collapse, res, window_box
 
 
-class SupportBoundError(Exception):
+class SupportBoundError(EngineError):
     """An isum term past the declared support bound is not zero."""
 
 
@@ -538,18 +538,20 @@ def _geo_residue(ratio: LaurentSeries, factors, box, chain):
     unclipped, since the exchange needs rest fully known there.
     """
     vars, outer, var = ratio.vars, chain[:-1], chain[-1]
+    i = ratio._var_index(var)
     geo = (tuple(0 if lo >= 0 else -INF for lo in ratio.sup_lo),
            tuple(0 if hi <= 0 else INF for hi in ratio.sup_hi))
     rest = _directed((LaurentSeries.constant(vars, 1),) + factors, box, outer, tail=geo)
     if rest.is_zero:
         return LaurentSeries.zero(vars)
-    i = vars.index(var)
     known_in_var = rest.sup_lo[i] >= rest.acc_lo[i] and rest.sup_hi[i] <= rest.acc_hi[i]
     finite = rest.sup_lo[i] != -INF and rest.sup_hi[i] != INF
     if not (known_in_var and finite):
         return None
     rlo, rhi = ratio.sup_lo[i], ratio.sup_hi[i]
-    if rhi <= -1:
+    if ratio.is_zero:
+        count = 0  # geo[0] = 1
+    elif rhi <= -1:
         count = max((int(rest.sup_hi[i]) + 1) // -int(rhi), 0)
     elif rlo >= 1:
         count = max((-1 - int(rest.sup_lo[i])) // int(rlo), 0)

@@ -66,22 +66,24 @@ Bound = Union[int, float]
 
 
 class EngineError(ValueError):
-    """The engine was asked something it cannot answer for these operands."""
+    """The engine was asked something it cannot answer for these operands.
+    Every failure of the engine, here and in `resexpr`, is one: a proof step
+    catches this class (and `EvalError`) alone."""
 
 
-class WindowError(Exception):
+class WindowError(EngineError):
     """A coefficient outside the accuracy window was requested."""
 
 
-class NonUnitError(Exception):
+class NonUnitError(EngineError):
     """A negative power of a base that is not c*mu*(1 + u*m)."""
 
 
-class DivergentSumError(Exception):
+class DivergentSumError(EngineError):
     """A formal geometric sum whose ratio never leaves the window."""
 
 
-class DegenerateWindowError(Exception):
+class DegenerateWindowError(EngineError):
     """Two series were compared on an empty shared accuracy region."""
 
 

@@ -2,12 +2,16 @@ import itertools
 import math
 
 import pytest
+from hypothesis import settings
 
 from binomid import proofs, verify
 from binomid.catalog import load_builtin
 from binomid.model import CompiledIdentity, Identity
 from binomid.resexpr import EvalContext, evaluate, parse_resexpr
 from binomid.series import first_difference
+
+# a long random run of the state-text property in test_resexpr.py, outside tier-1
+settings.register_profile("fuzz-long", max_examples=5_000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from binomid.dsl import parse_linexpr
+from binomid.dsl import parse_linexpr, parse_term
+from binomid.model import BinomFactor, LinExpr
 from binomid.proofs import run_proof_script
 from binomid.resexpr import parse_resexpr
 
@@ -344,10 +345,26 @@ def test_loader_rejects_duplicate_adjacent_expression_mismatch(catalog):
         assert script.steps[i].before is script.steps[i - 1].after or script.steps[i].before_text == script.steps[i - 1].after_text
 
 
-def _with_after(script, idx, text):
+def _with_step(script, idx, **changes):
     steps = list(script.steps)
-    steps[idx] = dataclasses.replace(steps[idx], after_text=text, after=parse_resexpr(text))
+    steps[idx] = dataclasses.replace(steps[idx], **changes)
     return dataclasses.replace(script, steps=tuple(steps))
+
+
+def _with_after(script, idx, text):
+    """The script with step idx ending, and the next step starting, in the state text."""
+    script = _with_step(script, idx, after_text=text, after=parse_resexpr(text))
+    if idx + 1 < len(script.steps):
+        script = _with_step(script, idx + 1, before_text=text, before=script.steps[idx].after)
+    return script
+
+
+def _with_step_0_as(script, form):
+    """The script with both states of step 0 put into `form`."""
+    step = script.steps[0]
+    before, after = (form.format(text) for text in (step.before_text, step.after_text))
+    return _with_step(script, 0, before_text=before, before=parse_resexpr(before),
+                      after_text=after, after=parse_resexpr(after))
 
 
 DISJOINT = "DegenerateWindowError: accuracy windows do not overlap"
@@ -356,11 +373,7 @@ DISJOINT = "DegenerateWindowError: accuracy windows do not overlap"
 def with_disjoint_windows(script):
     """proof-eq1 with step 1 ending in x^(40)/(1+x) and step 2 turning it into
     x^(-40)/(1+x): step 2's two states know no coefficient in common."""
-    script = _with_after(script, 1, "x^(40)*(1+x)^(-1)")
-    script = _with_after(script, 2, "x^(-40)*(1+x)^(-1)")
-    steps = list(script.steps)
-    steps[2] = dataclasses.replace(steps[2], before_text=steps[1].after_text, before=steps[1].after)
-    return dataclasses.replace(script, steps=tuple(steps))
+    return _with_after(_with_after(script, 1, "x^(40)*(1+x)^(-1)"), 2, "x^(-40)*(1+x)^(-1)")
 
 
 def test_disjoint_accuracy_windows_fail_their_own_step(catalog, monkeypatch, own_workers):
@@ -400,14 +413,20 @@ def test_engine_error_is_a_failed_step(catalog):
     assert report.failures[0].message.startswith("EngineError")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("res(w)[(1+x)*geo[x]]", "EngineError: series has no variable 'w'"),
+    # geo[0] = 1, so the residue is 1; eq1's lhs is 0 at this instance
+    ("res(x)[x^(-1)*(1+x)*geo[C(1,2)*x]]", "first differing coefficient at 1: 0 vs 1"),
+], ids=["not-a-series-variable", "zero-ratio"])
+def test_a_residue_exchanged_with_a_geometric_sum_fails_its_own_step(catalog, text, message):
+    script = _with_after(catalog.script("proof-eq1"), 1, text)
+    report = run_proof_script(script, [{p: 2 for p in script.params}], window=2)
+    assert [(f.step, f.message) for f in report.failures] == [(1, message)]
+
+
 def test_a_non_constant_opening_state_fails_step_0(catalog):
     # both states of step 0 times x: they agree, but the opening state is no number
-    script = catalog.script("proof-eq1")
-    step = script.steps[0]
-    before, after = (f"x*({text})" for text in (step.before_text, step.after_text))
-    steps = (dataclasses.replace(step, before_text=before, before=parse_resexpr(before),
-                                 after_text=after, after=parse_resexpr(after)),) + script.steps[1:]
-    script = dataclasses.replace(script, steps=steps)
+    script = _with_step_0_as(catalog.script("proof-eq1"), "x*({})")
     env = {"b": 1, "c": 1, "d": 1, "p": 1, "n": 2}
     assert script.admissible(env)
     report = run_proof_script(script, [env], window=2)
@@ -456,3 +475,60 @@ def test_replaced_recognition_map_is_checked_afresh(catalog, script_name):
     assert [(f.step, f.kind, f.message) for f in report.failures] == [
         (last, "Recognize", "final sum is not the substituted chu2gen lhs")
     ]
+
+
+def test_an_unbound_parameter_fails_its_own_step(catalog):
+    # step 1 ends, and step 2 starts, in a state naming w, which the script does not bind
+    script = catalog.script("proof-eq1")
+    text = script.steps[1].after_text.replace("C(b,d)", "C(b,w)")
+    script = _with_after(script, 1, text)
+    report = run_proof_script(script, [dict.fromkeys(script.params, 1)], window=2)
+    assert [(f.step, f.kind, f.message) for f in report.failures] == [
+        (1, "IntegralRep", "EvalError: unbound variable 'w' in expression w")
+    ]
+
+
+def _unrecognizable(script):
+    # the last rewrite adds 0: the same value, but no longer `carried * sum`
+    return _with_after(script, len(script.steps) - 2, script.steps[-2].after_text + "+0")
+
+
+def _map_without_m(script):
+    return _with_step(script, -1, mapping=tuple(kv for kv in script.steps[-1].mapping if kv[0] != "m"))
+
+
+def _doubled_subject_rhs(script):
+    two = BinomFactor(LinExpr(2), LinExpr(1))
+    rhs = dataclasses.replace(script.subject.rhs, factors=script.subject.rhs.factors + (two,))
+    return dataclasses.replace(script, subject=dataclasses.replace(script.subject, rhs=rhs))
+
+
+EQ1_IS_2 = {"b": 2, "c": 1, "d": 1, "n": 2, "p": 1}  # both sides of eq1 are 2 here
+
+
+@pytest.mark.parametrize("corrupt, env, step, message", [
+    (lambda s: _with_step_0_as(s, "1+{}"), EQ1_IS_2, 0, "opening state 3 != subject lhs 2"),
+    (_unrecognizable, EQ1_IS_2, 7, "unrecognizable final state: state is not a product"),
+    (lambda s: dataclasses.replace(s, carried=parse_term("C(b,c)")), EQ1_IS_2, 7,
+     "carried multiplier does not match the script's"),
+    (_map_without_m, EQ1_IS_2, 7, "recognition map misses ['m']"),
+    (_doubled_subject_rhs, EQ1_IS_2, 7, "substituted rhs times carried multiplier != subject rhs"),
+    # outside the script's constraints, where eq1 and chu2gen do not hold
+    (None, {"b": -1, "c": 0, "d": -2, "n": -2, "p": 0}, 7, "substituted chu2gen fails at this instance"),
+    (None, {"b": -2, "c": 0, "d": 0, "n": -2, "p": -2}, 7, "subject identity fails at this instance"),
+], ids=["opening", "unrecognizable", "carried", "map", "rhs", "premise", "subject"])
+def test_each_failure_message_names_its_step(catalog, corrupt, env, step, message):
+    script = catalog.script("proof-eq1")
+    if corrupt is not None:
+        script = corrupt(script)
+    assert script.steps[step].kind == ("AlgebraicRewrite" if step == 0 else "Recognize")
+    if script.admissible(env):
+        report = run_proof_script(script, [env], window=2)
+        assert [(f.step, f.message) for f in report.failures] == [(step, message)]
+    assert check_step(script, step, env, window=2) == message
+
+
+def test_instances_need_a_range_for_every_parameter(catalog):
+    script = catalog.script("proof-eq1")
+    with pytest.raises(ValueError, match=r"^ranges missing parameter\(s\) c, n$"):
+        script.instances({"b": (0, 1), "d": (0, 1), "p": (0, 1)})

@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomid import arith, resexpr, series
@@ -16,7 +16,7 @@ from binomid.model import EvalError, LinExpr
 from binomid.proofs import _context, run_proof_script
 from binomid.resexpr import (EvalContext, RAdd, RBinom, RGeo, RInt, RISum, RPow, RProd, RRes, RSum,
                              RVar, evaluate, parse_resexpr)
-from binomid.series import LaurentSeries, NonUnitError, WindowError, res, window_box
+from binomid.series import EngineError, LaurentSeries, NonUnitError, WindowError, res, window_box
 
 from test_oracle import oracle_value, states
 
@@ -348,6 +348,9 @@ VARS = ("x", "y", "z")
     ("res(y)[res(z)[res(x)[x^(-2)*(1+x)^(n)*y^(-1)*(1+z)^(2)*z^(-2)*geo[x*y*z]]]]", {}, None),
     # each power of a ratio falling in y keeps the exponents the later ones need
     ("res(y)[res(x)[x^(-4)*(1+x)^(3)*y*(1+y)^(n)*geo[x*y^(-1)]]]", {}, None),
+    # the exchange's rest is zero; then unbounded in x, so the product takes over
+    ("res(y)[res(x)[x^(-1)*C(1,2)*(1+x)^(n)*y^(-1)*geo[x*y]]]", {}, None),
+    ("res(y)[res(x)[x^(-2)*(1+x)^(-1)*y^(-2)*geo[x*y]]]", {}, None),
 ])
 def test_an_edge_case_residue_equals_its_walk(text, window, error, monkeypatch):
     raised = []
@@ -438,3 +441,54 @@ def test_residue_directed_products_bound_the_pairs_formed(catalog, name, bound, 
         for env in script.instances({p: (0, 2) for p in script.params}):
             evaluate(node, _context(script, env, 2, {}))
     assert 0 < sum(formed) <= bound
+
+
+# ---------------------------------------------------------------------------
+# Every state text of the grammar evaluates or fails its step
+
+
+def _state_texts(depth):
+    """Texts of the grammar in the module docstring over x, y and z, with
+    products, sums, powers and binders nested at most `depth` deep. Exponents
+    may name n, which the context binds, or j and k, which only a `sum`
+    around them binds."""
+    var = st.sampled_from(VARS)
+    small = st.integers(-2, 3).map(str)
+    exponent = st.one_of(small, st.sampled_from("jkn"))
+    leaf = st.one_of(var, st.integers(0, 3).map(str), st.builds("C({},{})".format, small, small),
+                     st.builds("(1+{})".format, var), st.builds("{}^({})".format, var, exponent))
+    if depth == 0:
+        return leaf
+    inner = _state_texts(depth - 1)
+    product = st.lists(inner, min_size=2, max_size=3).map(lambda fs: "*".join(f"({f})" for f in fs))
+    return st.one_of(
+        leaf,
+        product,
+        st.builds("({}){}({})".format, inner, st.sampled_from("+-"), inner),
+        st.builds("sum({},{},{})[{}]".format, st.sampled_from("jk"), st.integers(-1, 1),
+                  st.integers(-1, 2), inner),
+        st.builds("({})^({})".format, inner, exponent),
+        # a residue of a product is a residue-directed product, or the exchange
+        st.builds("res({})[{}]".format, var, st.one_of(inner, product)),
+        st.builds("geo[{}]".format, inner),
+    )
+
+
+# tier-1 draws a fixed sample; `--hypothesis-profile fuzz-long` (conftest.py) a long random one
+NO_CRASH = (settings(deadline=None) if settings.get_current_profile_name() == "fuzz-long"
+            else settings(max_examples=200, derandomize=True, deadline=None))
+
+
+@NO_CRASH
+@given(_state_texts(5))
+# a zero ratio, and a residue variable that is not a series variable, in the exchange
+@example("res(x)[x^(-1)*(1+x)*geo[C(1,2)*x]]")
+@example("res(w)[(1+x)*geo[x]]")
+def test_a_state_text_evaluates_or_raises_an_engine_or_eval_error(text):
+    node = parse_resexpr(text)
+    for window in (0, 2, 4):
+        ctx = EvalContext(VARS, dict.fromkeys(VARS, (-window, window)), max(window, 1), {"n": 2})
+        try:
+            assert isinstance(evaluate(node, ctx), LaurentSeries)
+        except (EngineError, EvalError):
+            pass
