@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -157,11 +156,11 @@ def _load(catalog_text: str, claims_data: dict, script_data: list[dict]) -> Cata
 
 def load_builtin() -> Catalog:
     """Load the shipped catalog: 26 identities, 10 claims, 2 proof scripts."""
-    pkg = resources.files("binomid").joinpath("data")
-    catalog_text = pkg.joinpath("catalog.bid").read_text(encoding="utf-8")
-    claims_data = json.loads(pkg.joinpath("claims.json").read_text(encoding="utf-8"))
+    data = Path(__file__).parent / "data"
+    catalog_text = (data / "catalog.bid").read_text(encoding="utf-8")
+    claims_data = json.loads((data / "claims.json").read_text(encoding="utf-8"))
     scripts = [
-        json.loads(pkg.joinpath(name).read_text(encoding="utf-8"))
+        json.loads((data / name).read_text(encoding="utf-8"))
         for name in ("proof_eq1.json", "proof_eq2.json")
     ]
     return _load(catalog_text, claims_data, scripts)

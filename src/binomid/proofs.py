@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import pickle
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -302,9 +301,14 @@ def _run_instance(script: ProofScript, env, window: int, trace, memo) -> tuple[i
 _SCRIPTS_KEPT = 4  # scripts a process keeps pickled (parent side) or loaded (worker side)
 
 
-# The parent's pickled scripts. Keyed by script equality, which is sound:
-# the bytes of either of two equal scripts unpickle to an equal script.
-_pickled = lru_cache(maxsize=_SCRIPTS_KEPT)(pickle.dumps)
+@lru_cache(maxsize=_SCRIPTS_KEPT)
+def _pickled(script: ProofScript) -> bytes:
+    """The parent's pickled scripts. Keyed by script equality, which is
+    sound: the bytes of either of two equal scripts unpickle to an equal
+    script. `pickle` is imported here, as only a sharded run ships scripts."""
+    import pickle
+
+    return pickle.dumps(script)
 
 
 class _Shipped:
@@ -326,6 +330,8 @@ class _Shipped:
 def _received(data: bytes) -> _Shipped:
     """The script pickled as `data`. Equal bytes unpickle to an equal
     script, so a cached entry can never stand in for another script."""
+    import pickle
+
     return _Shipped(pickle.loads(data))
 
 

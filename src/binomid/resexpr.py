@@ -267,15 +267,26 @@ def evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
     return value
 
 
+# CPython's compile errors for nesting past its fixed limits (20 nested loops,
+# 100 indentation levels); a state nested that deeply fails its own step
+_NESTING_LIMITS = ("too many statically nested blocks", "too many levels of indentation")
+
+
 @functools.lru_cache(maxsize=256)
 def _compiled(node: RNode):
     """The generated function of a node, built once per equal node."""
     gen = _Generator()
     source = gen.source(node)
+    try:
+        code = compile(source, "<binomid state>", "exec")
+    except SyntaxError as exc:
+        if exc.msg not in _NESTING_LIMITS:
+            raise  # any other syntax error is a bug of the generator
+        raise EngineError(f"state nested too deeply to compile: {exc.msg}") from None
     namespace = {}
     # the functions run on this module's globals, so `binomial`, `res` and the
     # rest are looked up at each call: a wrapper rebound later is seen
-    exec(compile(source, "<binomid state>", "exec"), globals(), namespace)
+    exec(code, globals(), namespace)
     return namespace["make"](*gen.constants)
 
 

@@ -578,9 +578,10 @@ def geometric_collapse(ratio: LaurentSeries, window: Window) -> LaurentSeries:
 
     The ratio must have positive valuation in some direction (all powers
     eventually leave the window box); a ratio with an invertible constant
-    term is a divergent formal sum and raises.
+    term is a divergent formal sum and raises. A zero ratio sums to 1 in
+    any window, also an unbounded one.
     """
-    count = _escape_count(ratio, window)
+    count = 0 if ratio.is_zero else _escape_count(ratio, window)
     total = LaurentSeries.constant(ratio.vars, 1)
     power = LaurentSeries.constant(ratio.vars, 1)
     for _ in range(count):

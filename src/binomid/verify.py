@@ -9,21 +9,18 @@ and returns the admissible count and the failing points.
 Every environment evaluation is pure and shard results merge back in
 enumeration order, so reports do not depend on scheduling. The worker
 processes start once per process and are reused by later sharded calls (see
-`shard_map`); proof runs shard on the same helper and send each proof
-script to a worker once (see `binomid.proofs`). Failures are listed
-lexicographically in the identity's declared parameter order.
+`shard_map`), which also imports the pool machinery, so a serial run never
+loads it; proof runs shard on the same helper and send each proof script to
+a worker once (see `binomid.proofs`). Failures are listed lexicographically
+in the identity's declared parameter order.
 """
 from __future__ import annotations
 
+import atexit
 import json
-import multiprocessing
-import multiprocessing.connection
 import os
-import random
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -125,6 +122,8 @@ def _exit_with_parent() -> None:
     A worker blocked on the task queue would otherwise outlive a parent that
     was killed, since nothing closes that queue.
     """
+    import multiprocessing.connection
+
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch():
@@ -137,14 +136,26 @@ def _exit_with_parent() -> None:
 class _Workers:
     """The process's worker pool: started on first use, kept for later calls.
 
-    At a normal interpreter exit `concurrent.futures` shuts every executor
-    down and joins its workers; `_exit_with_parent` covers a killed process.
+    The first pool registers `close` to run at interpreter exit: it shuts
+    the pool down and joins its workers while the modules the pool uses are
+    still loaded. `_exit_with_parent` covers a killed process.
     """
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.pool: Optional[ProcessPoolExecutor] = None
-        self.size = 0
+        self.pool = None  # a concurrent.futures.ProcessPoolExecutor once started
+        self.size = 0  # the worker count of the last pool, 0 before the first
+
+    def start(self, size: int):
+        """A new pool of `size` spawn-started workers."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(
+            max_workers=size,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_exit_with_parent,
+        )
 
     def map(self, worker, tasks: list) -> list:
         """`worker` over `tasks`, one worker process per task, results in order.
@@ -156,12 +167,12 @@ class _Workers:
             if self.pool is not None and self.size != len(tasks):
                 self.close()
             if self.pool is None:
-                self.pool = ProcessPoolExecutor(
-                    max_workers=len(tasks),
-                    mp_context=multiprocessing.get_context("spawn"),
-                    initializer=_exit_with_parent,
-                )
+                if not self.size:
+                    atexit.register(self.close)
+                self.pool = self.start(len(tasks))
                 self.size = len(tasks)
+            from concurrent.futures.process import BrokenProcessPool
+
             try:
                 return list(self.pool.map(worker, tasks))
             except BrokenProcessPool:
@@ -186,11 +197,12 @@ def shard_map(worker, total: int, jobs: int, task) -> list:
     `os.cpu_count()` worker processes run; with one worker, or fewer than
     two items per worker, the single shard `range(total)` runs in-process.
     Otherwise each worker takes one shard. The workers are started with
-    the spawn method by the first such call, which pays their start-up,
-    and are reused by every later call with the same worker count; a call
-    with another count replaces them. They exit with this process, also
-    when it is killed. Workers keep only inputs between calls (code caches
-    and the proof scripts they loaded), never results, so reports are
+    the spawn method by the first such call, which pays their start-up and
+    imports the pool machinery, and are reused by every later call with
+    the same worker count; a call with another count replaces them. They
+    are joined at interpreter exit, and end on their own when this process
+    is killed. Workers keep only inputs between calls (code caches and the
+    proof scripts they loaded), never results, so reports are
     byte-identical for any worker count.
     """
     if jobs > 1:  # the core count is read from the system: skipped when serial
@@ -233,6 +245,8 @@ def fuzz(ident: Identity, seed: int, trials: int, lo: int, hi: int) -> Verificat
     """
     if lo > hi:
         raise ValueError(f"empty sample range {lo}..{hi}")
+    import random
+
     started = time.perf_counter()
     rng = random.Random(seed)
     compiled = CompiledIdentity(ident)

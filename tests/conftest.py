@@ -30,11 +30,12 @@ def own_workers(monkeypatch):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    """Stands in for the pool `_Workers.start` makes: records its size, maps
+    in-process."""
 
     made: list = []
 
-    def __init__(self, max_workers, **kwargs):
+    def __init__(self, max_workers):
         self.max_workers = max_workers
         self.tasks = []
         self.closed = False
@@ -52,7 +53,7 @@ class RecordingPool:
 def recording_pool(monkeypatch, own_workers):
     """Every pool shard_map starts is a RecordingPool."""
     RecordingPool.made = []
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(own_workers, "start", RecordingPool)
 
 
 def comb_oracle(n: int, k: int) -> int:

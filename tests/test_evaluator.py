@@ -311,6 +311,25 @@ def test_clamped_loops_agree_with_tree_walk(ident):
     assert narrowed and (emptied or ident is TOP_ZERO)
 
 
+@pytest.mark.parametrize("lower", ["2*k-p", "3*k-p", "p-2*k", "p-3*k"])
+def test_the_clamp_visits_no_index_with_a_negative_lower_argument(monkeypatch, lower):
+    # the edge is a ceiling for a positive coefficient on k, a floor for a
+    # negative one: rounding the other way visits an index where C(p, lower)
+    # is 0 by its negative lower argument, which no value shows
+    seen = []
+
+    def recorded(n, k):
+        seen.append((n, k))
+        return binomial(n, k)
+
+    monkeypatch.setattr(model, "binomial", recorded)
+    compiled = CompiledIdentity(parse_identity(f"identity v params(p) :: sum(k,0,p)[C(p,{lower})] == C(p,0)"))
+    for p in range(8):
+        compiled.evaluate([p])
+    assert len(seen) > 8  # the body's lookups, besides one C(p, 0) per p
+    assert [pair for pair in seen if pair[1] < 0] == []
+
+
 def test_a_constraint_on_the_bound_variable_holds_where_the_clamp_cuts():
     evaluate, visits = counting_evaluate(TOP_ZERO)
     assert evaluate([2]) == (2, 2) and visits[0] == 2  # k = 0, 1 of 0..2

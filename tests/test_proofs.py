@@ -306,7 +306,7 @@ def test_traced_run_is_one_in_process_pass(catalog, monkeypatch, own_workers):
         raise AssertionError("a traced run must not start worker processes")
 
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(own_workers, "start", no_pool)
     script = catalog.script("proof-eq1")
     envs = small_instances(script, hi=1)
     assert len(envs) >= 8
@@ -422,6 +422,18 @@ def test_a_residue_exchanged_with_a_geometric_sum_fails_its_own_step(catalog, te
     script = _with_after(catalog.script("proof-eq1"), 1, text)
     report = run_proof_script(script, [{p: 2 for p in script.params}], window=2)
     assert [(f.step, f.message) for f in report.failures] == [(1, message)]
+
+
+@pytest.mark.parametrize("text, limit", [
+    ("sum(k,0,1)[" * 21 + "1" + "]" * 21, "too many statically nested blocks"),
+    ("(" * 120 + "x" + ")^(1)" * 120, "too many levels of indentation"),
+], ids=["loops", "indentation"])
+def test_a_state_nested_past_the_compiler_limits_fails_its_own_step(catalog, text, limit):
+    script = _with_after(catalog.script("proof-eq1"), 1, text)
+    report = run_proof_script(script, [{p: 2 for p in script.params}], window=2)
+    assert [(f.step, f.message) for f in report.failures] == [
+        (1, f"EngineError: state nested too deeply to compile: {limit}")
+    ]
 
 
 def test_a_non_constant_opening_state_fails_step_0(catalog):

@@ -126,6 +126,29 @@ def test_an_unbound_parameter_is_an_eval_error_naming_it():
         evaluate(parse_resexpr("sum(k,0,n)[C(m,k)*x]"), ctx({"n": -1}))
 
 
+NESTED_SUMS = "sum(k,0,1)[" * 21 + "1" + "]" * 21  # 21 nested loops in the generated code
+NESTED_POWERS = "(" * 120 + "x" + ")^(1)" * 120  # 120 indentation levels
+
+
+@pytest.mark.parametrize("text, limit", [(NESTED_SUMS, "too many statically nested blocks"),
+                                         (NESTED_POWERS, "too many levels of indentation")],
+                         ids=["loops", "indentation"])
+def test_a_state_nested_past_the_compiler_limits_is_an_engine_error(text, limit):
+    ctx = EvalContext(("x",), {"x": (-2, 2)}, 2, {})
+    with pytest.raises(EngineError, match=f"^state nested too deeply to compile: {limit}$"):
+        evaluate(parse_resexpr(text), ctx)
+    # one loop fewer still compiles: 2 ** 20 terms of 1
+    assert evaluate(parse_resexpr("sum(k,0,1)[" * 20 + "1" + "]" * 20), ctx).constant_value() == 2 ** 20
+
+
+def test_any_other_syntax_error_of_the_generated_code_propagates(monkeypatch):
+    monkeypatch.setattr(resexpr._Generator, "source", lambda self, node: "def make(:\n")
+    resexpr._compiled.cache_clear()  # the node must be generated, not found
+    with pytest.raises(SyntaxError) as err:
+        evaluate(parse_resexpr("x^(-7)*(1+x)^(-13)"), EvalContext(("x",), {"x": (-2, 2)}, 2, {}))
+    assert not isinstance(err.value, EngineError)
+
+
 def _series_walk(node, vars, box, env):
     """A tree walk of an integral node with series operations, as a walk
     over the tree evaluates it: constants, clipped products, sums."""

@@ -170,6 +170,21 @@ def test_geometric_collapse_constant_ratio_diverges():
         geometric_collapse(LaurentSeries.constant(XYZ, 1), W3)
 
 
+def test_geometric_collapse_zero_ratio_is_one_in_every_window():
+    zero = LaurentSeries.zero(XYZ)
+    # an unbounded window: no power of the ratio to count, geo[0] = 1
+    unbounded = geometric_collapse(zero, {})
+    assert dict(unbounded.items()) == {(0, 0, 0): 1}
+    assert unbounded.acc_lo == (float("-inf"),) * 3 and unbounded.acc_hi == (float("inf"),) * 3
+    boxed = geometric_collapse(zero, {v: (-2, 2) for v in XYZ})
+    assert dict(boxed.items()) == {(0, 0, 0): 1}
+    # the constant 1 lies outside x in 5..8: nothing is known to be nonzero there
+    shifted = geometric_collapse(zero, {"x": (5, 8)})
+    assert dict(shifted.items()) == {}
+    assert shifted.acc_lo[0] == 5 and shifted.acc_hi[0] == 8
+    assert first_difference(shifted, LaurentSeries.zero(XYZ)) is None
+
+
 def random_ratio_text(rng):
     """A ratio with a guaranteed escape direction."""
     v = rng.choice(XYZ)

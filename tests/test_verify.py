@@ -354,6 +354,41 @@ def test_workers_end_with_their_process(ending):
                 os.kill(pid, signal.SIGKILL)
 
 
+def run_isolated(code):
+    """`code` in a fresh `python -I` that imports binomid from this checkout."""
+    return subprocess.run([sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}"],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_a_serial_run_loads_no_pool_machinery():
+    # the modules loaded before the import are left out: `site` loads some
+    proc = run_isolated("""
+before = set(sys.modules)
+import binomid
+catalog = binomid.load_builtin()
+ident = catalog.identity("eq4")
+assert binomid.verify_grid(ident, binomid.GridSpec.uniform(ident.params, 0, 3)).ok
+script = catalog.script("proof-eq1")
+assert binomid.run_proof_script(script, script.instances({p: (0, 1) for p in script.params})).ok
+print(*sorted(name for name in set(sys.modules) - before
+              if name.partition(".")[0] in ("multiprocessing", "concurrent", "pickle")))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_a_sharded_run_exits_cleanly():
+    # the pool is shut down before the interpreter tears its modules down
+    proc = run_isolated("""
+import os
+from binomid import load_builtin, verify
+os.cpu_count = lambda: 2
+ident = load_builtin().identity("eq4")
+assert verify.verify_grid(ident, verify.GridSpec.uniform(ident.params, 0, 3), jobs=2).ok
+""")
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_broken_pool_is_dropped_and_the_next_call_starts_a_new_one(catalog, monkeypatch,
                                                                     own_workers):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
