@@ -6,7 +6,8 @@ built from integer powers, binomial values, finite and support-bounded
 infinite sums, residue extraction, and collapsed geometric series. The
 evaluator turns a state into a concrete LaurentSeries at one parameter
 instance, inside a truncation window, by a function generated for the
-state on its first evaluation (see `evaluate`).
+state on its first evaluation (see `evaluate`). A product, and a residue
+chain over one, is one call of `series.product`, where the box rules live.
 
     expr    ::= ("-")? term (("+"|"-") term)*
     term    ::= factor ("*" factor)*
@@ -23,14 +24,13 @@ k > b; the evaluator checks that assertion on a probe range past the bound.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from . import dsl
 from .arith import binomial
 from .model import BinomFactor, EvalError, LinExpr, SumExpr, Term, _lin, frozen_node
-from .series import INF, EngineError, LaurentSeries, geometric_collapse, res, window_box
+from .series import EngineError, LaurentSeries, geo_residue, geometric_collapse, product, res, window_box
 
 
 class SupportBoundError(EngineError):
@@ -239,22 +239,25 @@ def evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
     first evaluation and compiled once per equal node (`_compiled`).
 
     The function keeps every non-leaf node's value in `ctx.memo`, and runs
-    the series operations in the order a walk of the tree would: a sum's
-    terms in index order, a product's factors left to right, each multiplied
-    in and clipped to the window in turn. A subtree of integers, binomials,
-    products, sums and `isum`s is computed in int arithmetic and made a
-    constant series once. Where the window holds exponent 0 of every
-    variable (a proof's always does), every series value on the way would
-    be an exact constant, which its value fixes; under any other window the
-    subtree is its exact constant, as an integer leaf is.
+    the series operations as a walk of the tree would: a sum's terms in
+    index order, a product's factors left to right, all before the first
+    multiplication (`series.product`, the one product routine; a product
+    with no residue never raises, so the first error is the walk's). A
+    subtree of integers, binomials, products, sums and `isum`s is computed
+    in int arithmetic and made a constant series once. Where the window
+    holds exponent 0 of every variable (a proof's always does), every series
+    value on the way would be an exact constant, which its value fixes;
+    under any other window the subtree is its exact constant, as an integer
+    leaf is.
 
-    A chain of nested residues over a product is a residue-directed product
-    (`_directed`, `_geo_residue`): its factors' values come from the memo as
-    computed over the full window, and only the partial products, which no
-    other node shares, are clipped further, to the exponents that can still
-    reach the residue plane. The memo is keyed by node and parameter values
-    alone, so it must hold full-window values; the inner residues of such a
-    chain are not kept in it.
+    A chain of nested residues over a product is a residue-directed
+    `series.product` (`series.geo_residue` over a `geo` factor): its
+    factors' values come from the memo as computed over the full window,
+    and only the partial products, which no other node shares, are clipped
+    further, to the exponents that can still reach the residue plane. The
+    memo is keyed by node and parameter values alone, so it must hold
+    full-window values; the inner residues of such a chain are not kept in
+    it. The box rules all live in `series`.
     """
     cache = ctx.cache
     if cache is not None:
@@ -375,7 +378,8 @@ class _Generator:
             base = self.series(node.base, slot, depth)
             return f"{base}.pow({self.lin(node.exponent, slot)}, box)"
         if isinstance(node, RProd):
-            return self.product(node.factors, slot, depth)
+            factors = [self.series(f, slot, depth) for f in node.factors]
+            return f"product(({', '.join(factors)}), box)"
         if isinstance(node, RAdd):
             out = self.fresh("s")
             for i, (sign, term) in enumerate(node.terms):
@@ -392,19 +396,10 @@ class _Generator:
             return f"geometric_collapse({self.series(node.body, slot, depth)}, box)"
         raise TypeError(f"unknown node {node!r}")
 
-    def product(self, factors, slot, depth: int) -> str:
-        """The product of two or more factors, clipped to the window after
-        each multiplication."""
-        out = self.fresh("s")
-        self.emit(depth, f"{out} = {self.series(factors[0], slot, depth)}")
-        for f in factors[1:]:
-            self.emit(depth, f"{out} = {out}.__mul__({self.series(f, slot, depth)}, box)")
-        return out
-
     def residue(self, node: RRes, slot, depth: int) -> str:
         """A residue; a chain of nested residues over a product takes the
-        innermost one in a residue-directed product (`_directed`), whose
-        inner residues the memo does not hold, and plain `res` outside it."""
+        innermost one in a residue-directed `product`, whose inner residues
+        the memo does not hold, and plain `res` outside it."""
         chain, body = (node.var,), node.body
         while isinstance(body, RRes):
             chain, body = chain + (body.var,), body.body
@@ -418,12 +413,12 @@ class _Generator:
         out = self.fresh("s")
         if ratio:
             rest = "".join(f"{v}, " for v in values if isinstance(v, str))
-            self.emit(depth, f"{out} = _geo_residue({ratio}, ({rest}), box, {chain!r})")
+            self.emit(depth, f"{out} = geo_residue({ratio}, ({rest}), box, {chain!r})")
             self.emit(depth, f"if {out} is None:")
             depth += 1
             collapse = lambda *_: f"geometric_collapse({ratio}, box)"  # noqa: E731
             values = [self.series(v, slot, depth, collapse) if isinstance(v, RGeo) else v for v in values]
-        self.emit(depth, f"{out} = _directed(({', '.join(values)}), box, {chain[:-1]!r}, {chain[-1]!r})")
+        self.emit(depth, f"{out} = product(({', '.join(values)}), box, {chain[:-1]!r}, {chain[-1]!r})")
         for var in reversed(chain[:-1]):
             out = f"res({out}, {var!r})"
         return out
@@ -489,97 +484,6 @@ def _unbound(env, uses) -> None:
         for v in params:
             if v not in env:
                 raise EvalError(f"unbound variable '{v}' in expression {e}")
-
-
-def _reach(box, clip, lo, hi):
-    """The box cut, in each variable index of `clip`, to the exponents from
-    which a product with support lo..hi there can still land on -1; a side
-    with unbounded support keeps the box's edge."""
-    if not clip:
-        return box
-    box_lo, box_hi = list(box[0]), list(box[1])
-    for i in clip:
-        box_lo[i] = max(box_lo[i], -1 - hi[i])
-        box_hi[i] = min(box_hi[i], -1 - lo[i])
-    return tuple(box_lo), tuple(box_hi)
-
-
-def _directed(values, box, outer, var=None, tail=None) -> LaurentSeries:
-    """A residue-directed product: `values[0] * values[1] * ...`, the last
-    multiplication also taking the residue in var.
-
-    Only the coefficient at exponent -1 of var and of every variable of
-    `outer` (whose residues the caller takes) is wanted, once the factors
-    still to come and `tail` (the support of what the caller multiplies in
-    later) are in. So each partial product is clipped, in those variables,
-    to the window and to the exponents that can still get there (`_reach`);
-    the last one only in `outer`, since its residue keeps var^-1 alone. That
-    drops only pairs that cannot reach the residue plane, and it narrows a
-    partial product's accuracy box only to exponents that cannot: the
-    result's coefficients and boxes, and any WindowError, are those of the
-    product clipped to the window alone.
-    """
-    vars, last = values[0].vars, len(values) - 1
-    later = [vars.index(t) for t in outer if t in vars]
-    clip = later + [vars.index(var)] if var in vars else later
-    # tails[j]: the support of `tail` and of the last j values
-    tails = [tail or ((0,) * len(vars),) * 2]
-    for v in values[:1:-1]:
-        lo, hi = tails[-1]
-        tails.append((tuple(map(operator.add, lo, v.sup_lo)), tuple(map(operator.add, hi, v.sup_hi))))
-    out = values[0]
-    for k in range(1, last):
-        out = out.__mul__(values[k], _reach(box, clip, *tails[last - k]))
-    return out.__mul__(values[last], _reach(box, later, *tails[0]), var)
-
-
-def _geo_residue(ratio: LaurentSeries, factors, box, chain):
-    """Residue in chain[-1] of `rest * geo[ratio]`, rest the product of
-    factors, exchanged with the geometric sum; None where the exchange does
-    not apply.
-
-    When the ratio moves strictly in the residue variable and the rest of
-    the product has finite known support there, only finitely many powers of
-    the ratio can reach exponent -1; summing their residues term by term
-    avoids forming the full product, whose per-variable accuracy boxes can
-    be vacuous even though the residue itself is finite. Rest's partial
-    products and the powers of the ratio are residue-directed (`_directed`)
-    in the outer variables of the chain only: the geo's support and the
-    powers still to come are their tails. The residue variable stays
-    unclipped, since the exchange needs rest fully known there.
-    """
-    vars, outer, var = ratio.vars, chain[:-1], chain[-1]
-    i = ratio._var_index(var)
-    geo = (tuple(0 if lo >= 0 else -INF for lo in ratio.sup_lo),
-           tuple(0 if hi <= 0 else INF for hi in ratio.sup_hi))
-    rest = _directed((LaurentSeries.constant(vars, 1),) + factors, box, outer, tail=geo)
-    if rest.is_zero:
-        return LaurentSeries.zero(vars)
-    known_in_var = rest.sup_lo[i] >= rest.acc_lo[i] and rest.sup_hi[i] <= rest.acc_hi[i]
-    finite = rest.sup_lo[i] != -INF and rest.sup_hi[i] != INF
-    if not (known_in_var and finite):
-        return None
-    rlo, rhi = ratio.sup_lo[i], ratio.sup_hi[i]
-    if ratio.is_zero:
-        count = 0  # geo[0] = 1
-    elif rhi <= -1:
-        count = max((int(rest.sup_hi[i]) + 1) // -int(rhi), 0)
-    elif rlo >= 1:
-        count = max((-1 - int(rest.sup_lo[i])) // int(rlo), 0)
-    else:
-        return None
-    clip = [vars.index(t) for t in outer if t in vars]
-    total = LaurentSeries.zero(vars)
-    power = LaurentSeries.constant(vars, 1)
-    for k in range(count + 1):
-        if k > 0:
-            # power k serves the terms k..count: up to count - k more ratios
-            j = count - k
-            lo = tuple(s + (j * min(r, 0) if j else 0) for s, r in zip(rest.sup_lo, ratio.sup_lo))
-            hi = tuple(s + (j * max(r, 0) if j else 0) for s, r in zip(rest.sup_hi, ratio.sup_hi))
-            power = power.__mul__(ratio, _reach(box, clip, lo, hi))
-        total = total + rest.__mul__(power, var=var)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,10 @@ divisors; a product with an inexact factor is inexact. Both loops are
 generated once per variable count on first use (`_kernel_code`): exponents
 are unpacked into locals and the box is tested with chained comparisons.
 
+A product of several series is one routine, `product`: proof states, `pow`
+and residue chains (`geo_residue` over a geometric sum) call it. Every box
+rule lives in this module: `__mul__`, `_residue_boxes`, `_reach`, `_geo_support`.
+
 No operation changes a series it is given; results are shared freely (the
 proof evaluator's memo holds them across scopes). The series 0 and 1 are
 built once per variable tuple: `zero`, `constant` of 0 or of the int 1,
@@ -406,10 +410,7 @@ class LaurentSeries:
             return self._binomial_pow(e, window or {}, *base)
         if e < 0:
             raise NonUnitError("negative power needs a base c*mu*(1 + u*m) with at most two terms")
-        out = self
-        for _ in range(e - 1):
-            out = out.__mul__(self, window)
-        return out
+        return product((self,) * e, window)
 
     def _binomial_base(self):
         """(c, mu, u, m) when the series is exactly c*mu*(1 + u*m) with m >= 0
@@ -547,6 +548,56 @@ def _residue_boxes(vars, i: int, sup_lo, sup_hi, acc_lo, acc_hi):
 
 
 # ---------------------------------------------------------------------------
+# Products of several series
+
+
+def _reach(box, clip, lo, hi):
+    """The box cut, in each variable index of `clip`, to the exponents from
+    which a product with support lo..hi there can still land on -1; a side
+    with unbounded support keeps the box's edge."""
+    if not clip:
+        return box
+    box_lo, box_hi = list(box[0]), list(box[1])
+    for i in clip:
+        box_lo[i] = max(box_lo[i], -1 - hi[i])
+        box_hi[i] = min(box_hi[i], -1 - lo[i])
+    return tuple(box_lo), tuple(box_hi)
+
+
+def product(values, window, outer=(), var=None, tail=None) -> LaurentSeries:
+    """`values[0] * values[1] * ...`, each partial product clipped to the
+    window, the last multiplication also taking the residue in var.
+
+    Residue-directed (var or `outer` given), only the coefficient at -1 of
+    var and of each variable of `outer` (whose residues the caller takes)
+    is wanted, once the later factors and `tail` (the support of what the
+    caller multiplies in later) are in. So each partial product is clipped
+    in those variables to the window (a box) and to the exponents that can
+    still get there (`_reach`); the last one only in `outer`, since its
+    residue keeps var^-1 alone. That drops only pairs, and narrows accuracy
+    only at exponents, that cannot reach the residue plane: coefficients,
+    boxes and any WindowError are those of the plain product, each partial
+    product clipped to the window alone.
+    """
+    out = values[0]
+    if var is None and not outer:
+        for v in values[1:]:
+            out = out.__mul__(v, window)
+        return out
+    vars, last = out.vars, len(values) - 1
+    later = [vars.index(t) for t in outer if t in vars]
+    clip = later + [vars.index(var)] if var in vars else later
+    # tails[j]: the support of `tail` and of the last j values
+    tails = [tail or ((0,) * len(vars),) * 2]
+    for v in values[:1:-1]:
+        lo, hi = tails[-1]
+        tails.append((tuple(map(operator.add, lo, v.sup_lo)), tuple(map(operator.add, hi, v.sup_hi))))
+    for k in range(1, last):
+        out = out.__mul__(values[k], _reach(window, clip, *tails[last - k]))
+    return out.__mul__(values[last], _reach(window, later, *tails[0]), var)
+
+
+# ---------------------------------------------------------------------------
 # Geometric collapse and the simple-pole residue rule
 
 
@@ -588,9 +639,60 @@ def geometric_collapse(ratio: LaurentSeries, window: Window) -> LaurentSeries:
         power = power.__mul__(ratio, window)
         total = total + power
     total = total.clipped(window)
-    sup_lo = tuple(0 if lo >= 0 else -INF for lo in ratio.sup_lo)
-    sup_hi = tuple(0 if hi <= 0 else INF for hi in ratio.sup_hi)
-    return LaurentSeries(total.vars, total.coeffs, sup_lo, sup_hi, total.acc_lo, total.acc_hi)
+    return LaurentSeries(total.vars, total.coeffs, *_geo_support(ratio), total.acc_lo, total.acc_hi)
+
+
+def _geo_support(ratio: LaurentSeries):
+    """The support box of geo[ratio]: exponent 0 in a variable where no
+    power of the ratio moves, unbounded on each side where one may."""
+    return (tuple(0 if lo >= 0 else -INF for lo in ratio.sup_lo),
+            tuple(0 if hi <= 0 else INF for hi in ratio.sup_hi))
+
+
+def geo_residue(ratio: LaurentSeries, factors, box, chain):
+    """Residue in chain[-1] of `rest * geo[ratio]`, rest the product of
+    factors, exchanged with the geometric sum; None where the exchange does
+    not apply.
+
+    When the ratio moves strictly in the residue variable and the rest of
+    the product has finite known support there, only finitely many powers of
+    the ratio can reach exponent -1; summing their residues term by term
+    avoids forming the full product, whose per-variable accuracy boxes can
+    be vacuous even though the residue itself is finite. Rest's partial
+    products and the powers of the ratio are residue-directed (`product`)
+    in the outer variables of the chain only: the geo's support and the
+    powers still to come are their tails. The residue variable stays
+    unclipped, since the exchange needs rest fully known there.
+    """
+    vars, outer, var = ratio.vars, chain[:-1], chain[-1]
+    i = ratio._var_index(var)
+    rest = product((LaurentSeries.constant(vars, 1),) + factors, box, outer, tail=_geo_support(ratio))
+    if rest.is_zero:
+        return LaurentSeries.zero(vars)
+    known_in_var = rest.sup_lo[i] >= rest.acc_lo[i] and rest.sup_hi[i] <= rest.acc_hi[i]
+    finite = rest.sup_lo[i] != -INF and rest.sup_hi[i] != INF
+    if not (known_in_var and finite):
+        return None
+    if ratio.is_zero:
+        count = 0  # geo[0] = 1
+    elif ratio.sup_hi[i] <= -1:
+        count = max((int(rest.sup_hi[i]) + 1) // -int(ratio.sup_hi[i]), 0)
+    elif ratio.sup_lo[i] >= 1:
+        count = max((-1 - int(rest.sup_lo[i])) // int(ratio.sup_lo[i]), 0)
+    else:
+        return None
+    clip = [vars.index(t) for t in outer if t in vars]
+    total = LaurentSeries.zero(vars)
+    power = LaurentSeries.constant(vars, 1)
+    for k in range(count + 1):
+        if k > 0:
+            # power k serves the terms k..count: up to count - k more ratios
+            j = count - k
+            lo = tuple(s + (j * min(r, 0) if j else 0) for s, r in zip(rest.sup_lo, ratio.sup_lo))
+            hi = tuple(s + (j * max(r, 0) if j else 0) for s, r in zip(rest.sup_hi, ratio.sup_hi))
+            power = power.__mul__(ratio, _reach(box, clip, lo, hi))
+        total = total + rest.__mul__(power, var=var)
+    return total
 
 
 def residue_eval_simple_pole(
@@ -635,21 +737,14 @@ def residue_eval_simple_pole(
 # Comparison
 
 
-def shared_window(a: LaurentSeries, b: LaurentSeries):
-    lo = tuple(max(x, y) for x, y in zip(a.acc_lo, b.acc_lo))
-    hi = tuple(min(x, y) for x, y in zip(a.acc_hi, b.acc_hi))
-    if any(l > h for l, h in zip(lo, hi)):
-        raise DegenerateWindowError("accuracy windows do not overlap")
-    return lo, hi
-
-
 def first_difference(a: LaurentSeries, b: LaurentSeries):
     """First monomial (sorted) where the two series provably differ, or None.
 
     Only coefficients known on both sides are compared; raises if the shared
     accuracy region is empty (a vacuous comparison is an error, not a pass).
     """
-    shared_window(a, b)
+    if any(max(al, bl) > min(ah, bh) for al, bl, ah, bh in zip(a.acc_lo, b.acc_lo, a.acc_hi, b.acc_hi)):
+        raise DegenerateWindowError("accuracy windows do not overlap")
     for e in sorted(set(a.coeffs) | set(b.coeffs)):
         if not (a._known(e) and b._known(e)):
             continue
