@@ -8,6 +8,8 @@ evaluator turns a state into a concrete LaurentSeries at one parameter
 instance, inside a truncation window, by a function generated for the
 state on its first evaluation (see `evaluate`). A product, and a residue
 chain over one, is one call of `series.product`, where the box rules live.
+A separable residue chain is an integer by Egorychev's coefficient rule,
+res_v (1+v)^E v^M = C(E, -1-M), exact under any window (`_separable`).
 
     expr    ::= ("-")? term (("+"|"-") term)*
     term    ::= factor ("*" factor)*
@@ -243,14 +245,19 @@ def evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
     index order, a product's factors left to right, all before the first
     multiplication (`series.product`, the one product routine; a product
     with no residue never raises, so the first error is the walk's). A
-    subtree of integers, binomials, products, sums and `isum`s is computed
-    in int arithmetic and made a constant series once. Where the window
-    holds exponent 0 of every variable (a proof's always does), every series
-    value on the way would be an exact constant, which its value fixes;
-    under any other window the subtree is its exact constant, as an integer
-    leaf is.
+    subtree of integers, binomials, products, sums, `isum`s and separable
+    residue chains is computed in int arithmetic and made a constant series
+    once. A separable chain (`_separable`) is the sum of products of
+    binomials that Egorychev's coefficient rule gives, after the check that
+    each of its variables is a series variable. Where the window holds
+    exponent 0 of every variable (a proof's always does), every series value
+    of the rest on the way would be an exact constant, which its value
+    fixes; under any other window the subtree is its exact constant, as an
+    integer leaf is. So is a separable chain, also where the series path
+    would find a residue's -1 plane, or the coefficient it needs of an
+    inexact (1+v)^E, outside the window and raise `WindowError`.
 
-    A chain of nested residues over a product is a residue-directed
+    Any other chain of nested residues over a product is a residue-directed
     `series.product` (`series.geo_residue` over a `geo` factor): its
     factors' values come from the memo as computed over the full window,
     and only the partial products, which no other node shares, are clipped
@@ -297,11 +304,59 @@ def _integral(node: RNode) -> bool:
     """Whether the node's value is an integer at every instance."""
     if isinstance(node, (RInt, RBinom)):
         return True
+    if isinstance(node, RRes):
+        return _separable(node) is not None
     if isinstance(node, RProd):
         return all(map(_integral, node.factors))
     if isinstance(node, RAdd):
         return all(_integral(t) for _, t in node.terms)
     return isinstance(node, (RSum, RISum)) and _integral(node.body)
+
+
+def _separable(node: RRes):
+    """The integral node equal to a separable residue chain, None if the
+    chain is not separable.
+
+    A chain res(v1)[...res(vn)[body]] over distinct variables is separable
+    when its body names no variable outside the chain and is a product of
+    integral factors, powers (1+v)^(e), monomials v^(m), (v*w)^(m) and v,
+    and at most one finite sum of such a product, whose index the rest of
+    the body does not name. Its value is then, by Egorychev's coefficient
+    rule res_v (1+v)^E v^M = C(E, -1-M), the sum over that index of the
+    integral factors times C(E_v, -1-M_v) for each v of the chain: E_v adds
+    up the exponents of (1+v), M_v those of v.
+    """
+    chain = []
+    while isinstance(node, RRes):
+        chain.append(node.var)
+        node = node.body
+    exponents = {v: [LinExpr(), LinExpr()] for v in chain}  # v -> [E_v, M_v]
+    if len(exponents) < len(chain):
+        return None
+    factors, ints, total = list(_factors(node)), [], None
+    for f in factors:  # the sum's factors join the list
+        if _integral(f):
+            ints.append(f)
+        elif isinstance(f, RSum) and total is None and f.var not in free_params(node):
+            total = f
+            factors += _factors(f.body)
+        else:
+            base, e = (f.base, f.exponent) if isinstance(f, RPow) else (f, LinExpr(1))
+            if (isinstance(base, RAdd) and len(base.terms) == 2 and base.terms[0] == (1, RInt(1))
+                    and base.terms[1][0] == 1):
+                names, which = (base.terms[1][1],), 0
+            else:
+                names, which = _factors(base), 1
+            for name in names:
+                if not (isinstance(name, RVar) and name.name in exponents):
+                    return None
+                exponents[name.name][which] += e
+    value = RProd((*ints, *(RBinom(e, LinExpr(-1) - m) for e, m in exponents.values())))
+    return value if total is None else RSum(total.var, total.lower, total.upper, value)
+
+
+def _factors(node: RNode) -> tuple:
+    return node.factors if isinstance(node, RProd) else (node,)
 
 
 class _Generator:
@@ -460,6 +515,21 @@ class _Generator:
         if isinstance(node, RAdd):
             terms = [("+ " if sign > 0 else "- ") + self.integer(t, slot, depth) for sign, t in node.terms]
             return "(" + " ".join(terms).removeprefix("+ ") + ")"
+        if isinstance(node, RRes):
+            # a separable chain (`_separable`) fails as the series path does:
+            # a residue variable that is not a series variable raises the
+            # error of `_variable`, and an unbound parameter is named in the
+            # linexpr the series path reads first, so the body's own
+            # linexprs, as its generated code reads them, come first in `uses`
+            body = node
+            while isinstance(body, RRes):
+                self.emit(depth, f"if {body.var!r} not in vars: _variable(vars, {body.var!r})")
+                body = body.body
+            series_path = _Generator()
+            series_path.params = self.params
+            series_path.series(body, slot, depth)
+            self.uses += series_path.uses
+            return self.integer(_separable(node), slot, depth)
         return self.sum(node, slot, depth, True)
 
 

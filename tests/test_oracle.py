@@ -24,7 +24,8 @@ import pytest
 
 from binomid.model import SumExpr
 from binomid.proofs import SERIES_VARS, _context, run_proof_script
-from binomid.resexpr import RAdd, RBinom, RGeo, RInt, RISum, RPow, RProd, RRes, RSum, RVar, evaluate
+from binomid.resexpr import (RAdd, RBinom, RGeo, RInt, RISum, RPow, RProd, RRes, RSum, RVar, evaluate,
+                             parse_resexpr)
 
 from conftest import comb_oracle
 from test_proofs import mutate_step
@@ -39,12 +40,19 @@ def _lin(e, env) -> int:
 
 
 class Oracle:
-    """Naive truncated Laurent polynomials in x, y and z."""
+    """Naive truncated Laurent polynomials in x, y and z, giving up after
+    `budget` coefficient products: a `geo` over terms of total degree 0 or
+    less is never truncated, so nested ones grow without bound (one text
+    took minutes)."""
 
-    def __init__(self, degree: int):
+    def __init__(self, degree: int, budget: int = 100_000):
         self.degree = degree
+        self.budget = budget
 
     def mul(self, a, b, limit=None):
+        self.budget -= len(a) * len(b)
+        if self.budget < 0:
+            raise OverflowError("oracle budget spent")
         limit = self.degree if limit is None else limit
         out = {}
         for (a0, a1, a2), c1 in a.items():
@@ -140,6 +148,13 @@ def oracle_value(node, env):
         assert set(low) <= {ORIGIN}, f"{node} at {env} is not a number: {low}"
         _VALUES[key] = low.get(ORIGIN, 0)
     return _VALUES[key]
+
+
+def test_the_oracle_gives_up_after_its_budget():
+    # nested geos over terms of total degree 0: without the budget, minutes
+    node = parse_resexpr("res(x)[res(y)[res(z)[x^(-2)*y^(-1)*z^(0)*(geo[geo[((x)*(z))*(geo[(z)^(-2)])]])]]]")
+    with pytest.raises(OverflowError, match="^oracle budget spent$"):
+        oracle_value(node, {})
 
 
 def side_value(side, env) -> int:

@@ -1,6 +1,8 @@
 """The proof-state expression language: parsing, and the function
 `resexpr.evaluate` generates for a node on its first evaluation."""
+import contextlib
 import dataclasses
+import itertools
 import pickle
 import sys
 from collections import Counter
@@ -124,6 +126,11 @@ def test_an_unbound_parameter_is_an_eval_error_naming_it():
     # every parameter is bound on entry, also one only an empty sum would read
     with pytest.raises(EvalError, match="unbound variable 'm'"):
         evaluate(parse_resexpr("sum(k,0,n)[C(m,k)*x]"), ctx({"n": -1}))
+    # in a separable chain, the linexpr as written, not the coefficient rule's
+    with pytest.raises(EvalError, match=r"^unbound variable 'q' in expression q-2$"):
+        evaluate(parse_resexpr("res(x)[(1+x)^(n)*x^(q-2)]"), ctx({"n": 2}))
+    with pytest.raises(EvalError, match=r"^unbound variable 'q' in expression -j\+q$"):
+        evaluate(parse_resexpr("res(x)[sum(j,0,n)[(1+x)^(j)*x^(q-j)]*x^(-1)]"), ctx({"n": 2}))
 
 
 NESTED_SUMS = "sum(k,0,1)[" * 21 + "1" + "]" * 21  # 21 nested loops in the generated code
@@ -264,6 +271,28 @@ def test_a_geometric_residue_equals_the_oracle_on_either_path(text, exchanged, v
 # Residue-directed products
 
 
+@contextlib.contextmanager
+def _series_path():
+    """The engine with the coefficient rule off: `_separable` matches no
+    chain, so every residue goes through the series engine. No function
+    generated with the rule on is reused inside, nor one generated without
+    it kept after."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resexpr, "_separable", lambda node: None)
+        resexpr._compiled.cache_clear()
+        try:
+            yield
+        finally:
+            resexpr._compiled.cache_clear()
+
+
+@pytest.fixture
+def series_path():
+    """The test runs on the series path (`_series_path`)."""
+    with _series_path():
+        yield
+
+
 def _bound_residues(node, env, probe):
     """Every res node under node, with each environment its binders give it."""
     if isinstance(node, RRes):
@@ -352,7 +381,7 @@ def test_every_shipped_residue_equals_its_walk(catalog, name, window):
 VARS = ("x", "y", "z")
 
 
-@pytest.mark.parametrize("text, window, error", [
+EDGE_CASES = [
     # a zero factor, also beside supports unbounded on either side: the
     # product is 0 whatever boxes its partial products were clipped to
     ("res(y)[res(z)[(1+z)^(n)*C(1,2)*y^(-1)*z^(-1)]]", {}, None),
@@ -374,8 +403,12 @@ VARS = ("x", "y", "z")
     # the exchange's rest is zero; then unbounded in x, so the product takes over
     ("res(y)[res(x)[x^(-1)*C(1,2)*(1+x)^(n)*y^(-1)*geo[x*y]]]", {}, None),
     ("res(y)[res(x)[x^(-2)*(1+x)^(-1)*y^(-2)*geo[x*y]]]", {}, None),
-])
-def test_an_edge_case_residue_equals_its_walk(text, window, error, monkeypatch):
+]
+
+
+@pytest.mark.parametrize("text, window, error", EDGE_CASES)
+def test_an_edge_case_residue_equals_its_walk(text, window, error, monkeypatch, series_path):
+    # on the series path: the coefficient rule would take six of these rows
     raised = []
     mul = LaurentSeries.__mul__
 
@@ -405,7 +438,27 @@ def test_an_edge_case_residue_equals_its_walk(text, window, error, monkeypatch):
     assert None not in raised
 
 
-def test_a_chain_over_a_product_is_one_memo_entry_and_an_exchange_needs_rest_known(monkeypatch):
+@pytest.mark.parametrize("text, window, error", EDGE_CASES)
+def test_an_edge_case_residue_with_the_coefficient_rule(text, window, error):
+    # a separable chain is its exact value, also where the series path's -1
+    # plane lies outside the window; any other row is its walk, as above
+    node = parse_resexpr(text)
+    separable = resexpr._separable(node) is not None
+    assert separable == (error in (None, WindowError) and "geo" not in text)
+    for n in range(4):
+        ctx, walk = (EvalContext(VARS, {**dict.fromkeys(VARS, (-4, 4)), **window}, 2, {"n": n})
+                     for _ in range(2))
+        got = _outcome(lambda: evaluate(node, ctx))
+        if separable:
+            assert got.is_exact and got.constant_value() == oracle_value(node, {"n": n})
+        else:
+            _assert_same_outcome(got, _outcome(lambda: _walked_residue(node, walk)))
+
+
+def _recorded(monkeypatch):
+    """The calls of `series.product` and `geo_residue` an evaluation makes,
+    and the function evaluating a text, which returns the residues it left
+    in the memo and the node."""
     calls = []
     product, exchange = series.product, series.geo_residue
 
@@ -431,6 +484,11 @@ def test_a_chain_over_a_product_is_one_memo_entry_and_an_exchange_needs_rest_kno
         evaluate(node, ctx)
         return [n for n, *_ in ctx.memo if isinstance(n, RRes)], node
 
+    return calls, evaluated
+
+
+def test_a_chain_over_a_product_is_one_memo_entry_and_an_exchange_needs_rest_known(monkeypatch, series_path):
+    calls, evaluated = _recorded(monkeypatch)
     # over a sum, each residue is a plain `res` with its own memo entry; the
     # sum's terms are plain products, one for each j in 0..n
     kept, node = evaluated("res(y)[res(z)[sum(j,0,n)[y^(j-1)*z^(-1-j)]]]")
@@ -446,11 +504,19 @@ def test_a_chain_over_a_product_is_one_memo_entry_and_an_exchange_needs_rest_kno
     assert calls == ["plain", "directed", ("exchange", True)]
 
 
-@pytest.mark.parametrize("name, pairs", [("proof-eq1", 7_037), ("proof-eq2", 20_687)])
-def test_residue_directed_products_bound_the_pairs_formed(catalog, name, pairs, monkeypatch):
-    # clipped to the window alone, the products formed 51,057 and 87,634
-    # pairs here; residue-directed, exactly these: a routing change that
-    # forms other pairs fails
+def test_a_separable_chain_makes_no_product_call(monkeypatch):
+    # the coefficient rule takes both chains of the test above whole: one
+    # memo entry each, and no series product at all
+    calls, evaluated = _recorded(monkeypatch)
+    for text in ("res(y)[res(z)[sum(j,0,n)[y^(j-1)*z^(-1-j)]]]",
+                 "res(y)[res(z)[(1+y)^(n)*(1+z)^(-1)*y^(-2)*z^(-3)]]"):
+        kept, node = evaluated(text)
+        assert calls == [] and kept == [node]
+
+
+def _pairs_formed(script, monkeypatch):
+    """The pairs the product kernel forms over every state of the script at
+    every instance over 0..2, at window 2."""
     formed = []
     kernel = series._kernel_code
 
@@ -465,11 +531,25 @@ def test_residue_directed_products_bound_the_pairs_formed(catalog, name, pairs, 
         return counting, shift
 
     monkeypatch.setattr(series, "_kernel_code", counting_kernel)
-    script = catalog.script(name)
     for node in states(script):
         for env in script.instances({p: (0, 2) for p in script.params}):
             evaluate(node, _context(script, env, 2, {}))
-    assert sum(formed) == pairs
+    return sum(formed)
+
+
+@pytest.mark.parametrize("name, pairs", [("proof-eq1", 7_037), ("proof-eq2", 20_687)])
+def test_residue_directed_products_bound_the_pairs_formed(catalog, name, pairs, monkeypatch, series_path):
+    # clipped to the window alone, the products formed 51,057 and 87,634
+    # pairs here; residue-directed, exactly these: a routing change that
+    # forms other pairs fails
+    assert _pairs_formed(catalog.script(name), monkeypatch) == pairs
+
+
+@pytest.mark.parametrize("name, pairs", [("proof-eq1", 5_396), ("proof-eq2", 18_475)])
+def test_the_coefficient_rule_leaves_these_pairs_to_the_series_engine(catalog, name, pairs, monkeypatch):
+    # the IntegralRep and BinomExpand states take no product: the pairs of
+    # GeometricCollapse, ResidueEval and the states between them, exactly
+    assert _pairs_formed(catalog.script(name), monkeypatch) == pairs
 
 
 # ---------------------------------------------------------------------------
@@ -523,28 +603,12 @@ def test_a_state_text_evaluates_or_raises_an_engine_or_eval_error(text):
             pass
 
 
-class _BudgetOracle(Oracle):
-    """The oracle of test_oracle.py, giving up after `budget` coefficient
-    products: a `geo` over terms of total degree 0 or less is never
-    truncated, so nested ones grow without bound (one text took minutes)."""
-
-    def __init__(self, degree: int, budget: int = 100_000):
-        super().__init__(degree)
-        self.budget = budget
-
-    def mul(self, a, b, limit=None):
-        self.budget -= len(a) * len(b)
-        if self.budget < 0:
-            raise OverflowError("oracle budget spent")
-        return super().mul(a, b, limit)
-
-
 def _oracle_values(node, env):
     """The oracle's values of node at N and N + 3; None where it cannot
     expand the node (a parameter only a sum binds, a base with no expansion
     about its lowest term, a spent budget)."""
     try:
-        return [_BudgetOracle(degree).value(node, env) for degree in (DEGREE, DEGREE + 3)]
+        return [Oracle(degree).value(node, env) for degree in (DEGREE, DEGREE + 3)]
     except (AssertionError, KeyError, ValueError, OverflowError):
         return None
 
@@ -583,3 +647,133 @@ def test_a_wrapped_state_text_has_the_oracle_value_or_raises_an_engine_or_eval_e
         except (EngineError, EvalError):
             continue
         assert got == values[0].get(ORIGIN, 0), window
+
+
+# ---------------------------------------------------------------------------
+# Egorychev's coefficient rule against the series path
+
+
+# separable chains of one, two and three variables, with and without a
+# finite sum, and the (E, M) grid of each: E negative too, -1-M on either
+# side of 0 and of E
+RULE_CHAINS = [
+    ("res(x)[(1+x)^(e)*x^(m)]", {"e": range(-3, 5), "m": range(-7, 3)}),
+    ("res(x)[sum(j,0,s)[C(s,j)*(1+x)^(j)*x^(-j)]*x^(m)]", {"s": range(4), "m": range(-5, 2)}),
+    ("res(y)[res(x)[(1+x)^(e)*x^(m)*(1+y)^(f)*y^(-3)*y]]", {"e": range(-2, 4), "m": range(-4, 2), "f": (-3, 0, 2)}),
+    ("res(y)[res(z)[sum(j,0,s)[C(s,j)*(1+z)^(j)*(y*z)^(s-j)]*(1+y)^(e)*(1+z)^(f)*y^(m)*z^(-1)]]",
+     {"s": range(3), "e": (-2, 0, 3), "f": (-1, 2), "m": range(-4, 1)}),
+    ("res(x)[res(y)[res(z)[C(e,2)*(1+x)^(e)*(1+y)^(f)*(1+z)^(-1)*(x*y)^(m)*z^(-2)*x]]]",
+     {"e": (-2, 1, 3), "f": (-1, 2), "m": range(-4, 1)}),
+    ("res(z)[res(x)[res(y)[(1+x)^(e)*(1+y)^(2)*x^(m)*sum(j,0,s)[(1+y)^(j)*(x*z)^(j)*y^(-j-2)]*z^(-1)]]]",
+     {"s": range(3), "e": (-2, 1, 3), "m": range(-3, 1)}),
+]
+
+
+def _rule_context(env, vars=VARS, window=8):
+    return EvalContext(vars, dict.fromkeys(vars, (-window, window)), 2, env)
+
+
+@pytest.mark.parametrize("text, grid", RULE_CHAINS)
+def test_the_coefficient_rule_equals_the_series_path(text, grid):
+    node = parse_resexpr(text)
+    assert resexpr._separable(node) is not None
+    envs = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
+    # the window holds every exponent the series path reads; a context
+    # without the chain's innermost variable fails on either path alike
+    chain = text.rsplit("res(", 1)[1][0]
+    without = tuple(v for v in VARS if v != chain)
+
+    def outcomes():
+        values = [_outcome(lambda: evaluate(node, _rule_context(env))) for env in envs]
+        return values, [_outcome(lambda: evaluate(node, _rule_context(env, without))) for env in envs]
+
+    rule, rule_errors = outcomes()
+    with _series_path():
+        walked, errors = outcomes()
+    assert all(isinstance(v, LaurentSeries) for v in walked)
+    assert [v.coeffs for v in rule] == [v.coeffs for v in walked]
+    assert rule_errors == errors == [(EngineError, f"'{chain}' is not a series variable")] * len(envs)
+    # not a table of zeros
+    assert sum(bool(v.coeffs) for v in rule) > len(envs) // 4
+
+
+# chains the rule leaves to the series engine: a repeated variable, one
+# outside the chain, a sum index that an outer exponent names, two sums,
+# nested sums, and bases other than 1+v and v
+NOT_SEPARABLE = [
+    "res(x)[res(x)[(1+x)^(2)*x^(-2)]]",
+    "res(x)[(1+x)^(2)*x^(-1)*y]",
+    "res(x)[(1+x)^(j)*sum(j,0,2)[x^(-j-1)]]",
+    "res(x)[sum(j,0,1)[x^(-1)]*sum(k,0,1)[(1+x)^(k)]]",
+    "res(x)[sum(j,0,1)[sum(k,0,1)[(1+x)^(k)*x^(-1)]]]",
+    "res(x)[(x+1)^(2)*x^(-2)]",
+    "res(x)[(1-x)^(2)*x^(-2)]",
+    "res(x)[(1+2*x)^(2)*x^(-2)]",
+    "res(x)[((1+x)^(2))^(2)*x^(-2)]",
+    "res(x)[isum(k,1)[(1+x)^(k)]*x^(-2)]",
+    "res(x)[geo[x]*x^(-1)]",
+]
+
+
+@pytest.mark.parametrize("text", NOT_SEPARABLE)
+def test_the_coefficient_rule_leaves_any_other_chain_to_the_series_engine(text):
+    node = parse_resexpr(text)
+    assert resexpr._separable(node) is None
+    got = _outcome(lambda: evaluate(node, _rule_context({"j": 1})))
+    with _series_path():
+        _assert_same_outcome(got, _outcome(lambda: evaluate(node, _rule_context({"j": 1}))))
+
+
+@st.composite
+def _separable_chains(draw):
+    """A chain over one to three of VARS whose body is a product of the
+    factors the coefficient rule reads, a (1+v)^(E) for each chain variable
+    among them, and maybe a finite sum; now and then with a factor naming a
+    variable outside the chain. Also the series variables of the context:
+    all of VARS, or all but one."""
+    chain = draw(st.permutations(VARS))[:draw(st.integers(1, 3))]
+    in_chain = st.sampled_from(chain)
+    exponent = st.integers(-3, 3)
+    factors = [f"(1+{v})^({draw(exponent)})" for v in chain]
+    factors += draw(st.lists(st.one_of(
+        st.builds("{}^({})".format, in_chain, st.integers(-4, 1)),
+        st.builds("({}*{})^({})".format, in_chain, in_chain, exponent),
+        in_chain,
+        st.builds("C({},{})".format, st.integers(-2, 3), st.integers(0, 2)),
+    ), max_size=4))
+    if draw(st.booleans()):
+        hi = draw(st.integers(-1, 2))
+        factors.append(draw(st.builds(
+            "sum(j,0,{0})[C({0},j)*(1+{1})^(j)*({1}*{2})^({0}-j)*{3}^(-j)]".format,
+            st.just(hi), in_chain, in_chain, in_chain)))
+    outside = [v for v in VARS if v not in chain]
+    if outside and draw(st.integers(0, 4)) == 0:
+        factors.append(draw(st.builds("(1+{})^({})".format, st.sampled_from(outside), exponent)))
+    shift = "".join(f"{v}^({draw(st.integers(-4, 0))})*" for v in chain)
+    text = "".join(f"res({v})[" for v in chain) + shift + "*".join(factors) + "]" * len(chain)
+    vars = draw(st.sampled_from([VARS] + [tuple(w for w in VARS if w != v) for v in VARS]))
+    return text, vars
+
+
+@FUZZ
+@given(_separable_chains())
+# a variable outside the chain, and a chain variable that is not a series variable
+@example(("res(x)[x^(-1)*(1+x)^(2)*(1+y)^(1)]", VARS))
+@example(("res(x)[res(y)[x^(-1)*y^(-2)*(1+x)^(1)*(1+y)^(2)]]", ("x", "z")))
+def test_a_drawn_separable_chain_has_the_series_paths_value(drawn):
+    # where the series path gives a value, or fails other than by its
+    # window, the rule gives the same value or the same error
+    text, vars = drawn
+    node = parse_resexpr(text)
+
+    def outcomes():
+        return [_outcome(lambda: evaluate(node, _rule_context({}, vars, window))) for window in (2, 4, 8)]
+
+    rule = outcomes()
+    with _series_path():
+        walked = outcomes()
+    for got, want in zip(rule, walked):
+        if isinstance(want, LaurentSeries):
+            assert isinstance(got, LaurentSeries) and got.coeffs == want.coeffs, (got, want)
+        elif want[0] is not WindowError:
+            assert got == want
