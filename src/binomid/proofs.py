@@ -43,6 +43,7 @@ from .series import (
     EngineError,
     LaurentSeries,
     first_difference,
+    window_box,
 )
 from .verify import shard_map
 
@@ -138,9 +139,19 @@ def load_script(data: dict, resolve: Callable[[str], Identity]) -> ProofScript:
 def _context(script: ProofScript, env: Mapping[str, int], window: int, memo: dict) -> EvalContext:
     """The instance's context; instances of one budget may share `memo`."""
     full = script.instance_env(env)
-    m = script.budget_hint.evaluate(full) + window
-    budget = {v: (-m, m) for v in SERIES_VARS}
-    return EvalContext(SERIES_VARS, budget, max(window, 1), full, {}, memo)
+    return _context_at(full, script.budget_hint.evaluate(full) + window, window, memo)
+
+
+def _context_at(full: dict[str, int], m: int, window: int, memo: dict) -> EvalContext:
+    """The context at the instance `full` (aliases bound), whose window is
+    -m..m in every series variable."""
+    return EvalContext(SERIES_VARS, _extent_box(m), max(window, 1), full, {}, memo)
+
+
+@lru_cache(maxsize=64)
+def _extent_box(m: int) -> tuple:
+    """The window -m..m in every series variable, as a box; built once per m."""
+    return window_box(SERIES_VARS, dict.fromkeys(SERIES_VARS, (-m, m)))
 
 
 def _difference_message(diff, vars) -> str:
@@ -288,14 +299,14 @@ class ProofReport:
         return json.dumps(self.to_json_dict(include_elapsed=False), sort_keys=True)
 
 
-def _run_instance(script: ProofScript, env, window: int, trace, memo) -> tuple[int, Optional[StepFailure]]:
-    """Number of steps passed, and the first failure if any."""
-    ctx = _context(script, env, window, memo)
+def _run_instance(script: ProofScript, env, ctx: EvalContext, trace) -> Optional[StepFailure]:
+    """The first failing step at the instance `env` of `ctx`, None if every
+    step passes; the instance passed every step before the failing one."""
     for i in range(len(script.steps)):
         message = _check_step_in_context(script, i, ctx, trace)
         if message is not None:
-            return i, StepFailure(dict(env), i, script.steps[i].kind, message)
-    return len(script.steps), None
+            return StepFailure(dict(env), i, script.steps[i].kind, message)
+    return None
 
 
 _SCRIPTS_KEPT = 4  # scripts a process keeps pickled (parent side) or loaded (worker side)
@@ -336,7 +347,8 @@ def _received(data: bytes) -> _Shipped:
 
 
 def _script_worker(args):
-    """One shard's results in shard order.
+    """One shard's results in shard order: per instance, its first failure
+    or None.
 
     The script arrives as a `_Shipped`. Instances of one budget share a
     window and so one evaluation memo. They are visited in budget order,
@@ -345,16 +357,17 @@ def _script_worker(args):
     """
     shipped, shard, envs, window, trace = args
     script = shipped.script
-    budgets = [script.budget_hint.evaluate(script.instance_env(env)) for env in envs]
+    fulls = [script.instance_env(env) for env in envs]
+    extents = [script.budget_hint.evaluate(full) + window for full in fulls]
     order = range(len(envs))
-    if trace is None:
-        order = sorted(order, key=budgets.__getitem__)
+    if trace is None and len(envs) > 1:
+        order = sorted(order, key=extents.__getitem__)
     results = [None] * len(envs)
-    memo, budget = None, None
+    memo, extent = None, None
     for i in order:
-        if budgets[i] != budget:
-            memo, budget = {}, budgets[i]
-        results[i] = _run_instance(script, envs[i], window, trace, memo)
+        if extents[i] != extent:
+            memo, extent = {}, extents[i]
+        results[i] = _run_instance(script, envs[i], _context_at(fulls[i], extent, window, memo), trace)
     return shard, results
 
 
@@ -385,13 +398,11 @@ def run_proof_script(
     results = [None] * len(instances)
     for shard, shard_results in chunks:
         results[shard.start::shard.step] = shard_results
-    passes = [0] * len(script.steps)
-    failures = []
-    for steps_passed, failure in results:
-        for i in range(steps_passed):
-            passes[i] += 1
-        if failure is not None:
-            failures.append(failure)
+    failures = [f for f in results if f is not None]
+    passes = [len(instances)] * len(script.steps)
+    for failure in failures:
+        for i in range(failure.step, len(passes)):
+            passes[i] -= 1
     elapsed = int((time.perf_counter() - started) * 1000)
     return ProofReport(
         script.name,

@@ -196,11 +196,12 @@ class EvalContext:
     `memo` maps (node, *values of the node's free parameters) to the node's
     value. Contexts may share one memo only while they share `vars`,
     `window` and `probe`: a proof run hands one memo to all instances of the
-    same window. `box` is the window as `series.window_box` bounds.
+    same window. The window is a mapping or already a box; `box` is the
+    window as `series.window_box` bounds.
     """
 
     vars: tuple[str, ...]
-    window: dict[str, tuple[int, int]]
+    window: Mapping[str, tuple[int, int]] | tuple
     probe: int
     env: dict[str, int]
     # value cache for the root nodes evaluated in this environment
@@ -209,6 +210,7 @@ class EvalContext:
     box: tuple = field(init=False)
 
     def __post_init__(self):
+        self.vars = tuple(self.vars)
         self.box = window_box(self.vars, self.window)
 
 
@@ -541,7 +543,10 @@ def _keep(memo: dict, key, value: LaurentSeries) -> LaurentSeries:
     return value
 
 
+@functools.lru_cache(maxsize=64)
 def _variable(vars, name: str) -> LaurentSeries:
+    """The series of one variable, built once per variable tuple: no
+    operation changes a series it is given, so every state can hold it."""
     if name not in vars:
         raise EngineError(f"'{name}' is not a series variable")
     return LaurentSeries.monomial(vars, {name: 1})

@@ -63,6 +63,7 @@ from typing import Mapping, Optional, Union
 from .arith import binomial
 
 INF = float("inf")
+_UNBOUNDED = (-INF, INF)  # the bounds of a variable a window does not name
 
 Number = Union[int, Fraction]
 Expo = tuple[int, ...]
@@ -109,6 +110,14 @@ def _first_above(step: Bound, bound: Bound, last: int) -> Optional[int]:
 Window = Union[Mapping[str, tuple[int, int]], tuple[tuple[Bound, ...], tuple[Bound, ...]]]
 
 
+@functools.lru_cache(maxsize=None)
+def _unbounded(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The unbounded box in n variables, (-inf, ...) and (inf, ...), built
+    once per n: a box is a tuple, which no operation changes, so every
+    exact series can hold the same two."""
+    return (-INF,) * n, (INF,) * n
+
+
 def window_box(vars, window: Window) -> tuple[tuple[Bound, ...], tuple[Bound, ...]]:
     """The window as (lo, hi) bounds in the order of `vars`, unbounded for a
     variable it does not name. Every function taking a window also takes
@@ -116,8 +125,9 @@ def window_box(vars, window: Window) -> tuple[tuple[Bound, ...], tuple[Bound, ..
     many operations computes the box once."""
     if isinstance(window, tuple):
         return window
-    lo = tuple(window[v][0] if v in window else -INF for v in vars)
-    hi = tuple(window[v][1] if v in window else INF for v in vars)
+    if not vars:
+        return (), ()
+    lo, hi = zip(*[window.get(v, _UNBOUNDED) for v in vars])
     return lo, hi
 
 
@@ -217,7 +227,7 @@ class LaurentSeries:
             raise EngineError(f"monomial uses undeclared variable(s) {sorted(unknown)}")
         e = tuple(exps.get(v, 0) for v in vars)
         n = len(vars)
-        return LaurentSeries(vars, {e: coeff}, e, e, (-INF,) * n, (INF,) * n)
+        return LaurentSeries(vars, {e: coeff}, e, e, *_unbounded(n))
 
     # -- invariants ----------------------------------------------------------
 
@@ -231,8 +241,8 @@ class LaurentSeries:
         le = operator.le
         exact = all(map(le, self.acc_lo, self.sup_lo)) and all(map(le, self.sup_hi, self.acc_hi))
         if not coeffs and (exact or all(map(operator.gt, self.sup_lo, self.sup_hi))):
-            self.sup_lo, self.sup_hi = (INF,) * n, (-INF,) * n
-            self.acc_lo, self.acc_hi = (-INF,) * n, (INF,) * n
+            lo, hi = _unbounded(n)
+            self.sup_lo, self.sup_hi, self.acc_lo, self.acc_hi = hi, lo, lo, hi
             exact = True
         elif exact:
             # fully known: tighten support to the actual table, widen accuracy
@@ -242,7 +252,7 @@ class LaurentSeries:
                 columns = list(zip(*coeffs))
                 self.sup_lo = tuple(map(min, columns))
                 self.sup_hi = tuple(map(max, columns))
-            self.acc_lo, self.acc_hi = (-INF,) * n, (INF,) * n
+            self.acc_lo, self.acc_hi = _unbounded(n)
         self.is_exact = exact
         self.is_zero = not coeffs and all(map(operator.gt, self.sup_lo, self.sup_hi))
 
@@ -341,7 +351,7 @@ class LaurentSeries:
         sup_lo = tuple(map(add, a.sup_lo, b.sup_lo))
         sup_hi = tuple(map(add, a.sup_hi, b.sup_hi))
         n = len(vars)
-        lo, hi = ((-INF,) * n, (INF,) * n) if window is None else window_box(vars, window)
+        lo, hi = _unbounded(n) if window is None else window_box(vars, window)
         if not (a.is_exact and b.is_exact):
             # a factor not fully known on one side bounds the product's accuracy there
             lo = tuple(max(w, al + th if sl < al else -INF, bl + sh if tl < bl else -INF)
@@ -458,7 +468,7 @@ class LaurentSeries:
             scale = _exact(Fraction(c) ** e)
         if m is None:
             if e < 0:
-                mono = LaurentSeries(vars, {lead: scale}, lead, lead, (-INF,) * n, (INF,) * n)
+                mono = LaurentSeries(vars, {lead: scale}, lead, lead, *_unbounded(n))
                 return mono.clipped(window)
             u, m = 0, (0,) * n
         if e > 0:
@@ -471,7 +481,7 @@ class LaurentSeries:
                 acc_hi.append(wh if j_hi is None else wh + (e - j_hi) * min(a, 0))
                 acc_lo.append(wl if j_lo is None else wl + (e - j_lo) * max(b, 0))
             if exact:
-                acc_lo, acc_hi = (-INF,) * n, (INF,) * n
+                acc_lo, acc_hi = _unbounded(n)
             sup_hi = tuple(x + e * d for x, d in zip(lead, m))
             last = e if u else 0  # a single term has no binomial tail
         else:
@@ -514,8 +524,9 @@ def _shared_constant(vars: tuple[str, ...], value: int) -> LaurentSeries:
     same object."""
     n = len(vars)
     if value:
-        return LaurentSeries(vars, {(0,) * n: 1}, (0,) * n, (0,) * n, (-INF,) * n, (INF,) * n)
-    return LaurentSeries(vars, {}, (INF,) * n, (-INF,) * n, (-INF,) * n, (INF,) * n)
+        return LaurentSeries(vars, {(0,) * n: 1}, (0,) * n, (0,) * n, *_unbounded(n))
+    lo, hi = _unbounded(n)
+    return LaurentSeries(vars, {}, hi, lo, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +739,7 @@ def residue_eval_simple_pole(
         piece = LaurentSeries(g.vars, tables[k],
                               tuple(min(e[j] for e in keys) for j in range(n)),
                               tuple(max(e[j] for e in keys) for j in range(n)),
-                              (-INF,) * n, (INF,) * n)
+                              *_unbounded(n))
         total = total + piece * s.pow(k + p_exp, window)
     return total
 
