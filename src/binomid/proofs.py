@@ -53,8 +53,6 @@ SERIES_VARS = ("x", "y", "z")
 @dataclass(frozen=True)
 class ProofStep:
     kind: str
-    before_text: str
-    after_text: str
     before: RNode
     after: Optional[RNode]
     mapping: tuple[tuple[str, LinExpr], ...] = ()
@@ -107,18 +105,16 @@ def load_script(data: dict, resolve: Callable[[str], Identity]) -> ProofScript:
     each step's before is the previous step's after."""
     aliases = tuple((k, parse_linexpr(v)) for k, v in data.get("aliases", {}).items())
     steps: list[ProofStep] = []
-    previous_text = data["start"]
-    previous = parse_resexpr(previous_text)
+    previous = parse_resexpr(data["start"])
     for raw in data["steps"]:
         kind = raw["kind"]
         if kind == "Recognize":
             mapping = tuple((k, parse_linexpr(v)) for k, v in raw["map"].items())
-            steps.append(ProofStep(kind, previous_text, "", previous, None, mapping))
+            steps.append(ProofStep(kind, previous, None, mapping))
             continue
-        after_text = raw["after"]
-        after = parse_resexpr(after_text)
-        steps.append(ProofStep(kind, previous_text, after_text, previous, after))
-        previous_text, previous = after_text, after
+        after = parse_resexpr(raw["after"])
+        steps.append(ProofStep(kind, previous, after))
+        previous = after
     return ProofScript(
         name=data["name"],
         subject=resolve(data["proves"]),
@@ -222,7 +218,9 @@ def _recognition(script: ProofScript, step: ProofStep):
     got = canonicalize(got_ident).lhs
     if got != want:
         return f"final sum is not the substituted {script.target.name} lhs"
-    return specialized, Term(None, specialized.rhs.factors + script.carried.factors)
+    # the substituted closed form, its sign included, times the carried multiplier
+    rhs = specialized.rhs
+    return specialized, Term(rhs.sign_exponent, rhs.factors + script.carried.factors)
 
 
 def _check_recognize(script: ProofScript, index: int, ctx: EvalContext) -> Optional[str]:

@@ -2,13 +2,14 @@
 
 Proof scripts ship as data; every intermediate state of a proof is a small
 expression over the series variables (x, y, z) and the instance parameters,
-built from integer powers, binomial values, finite and support-bounded
-infinite sums, residue extraction, and collapsed geometric series. The
-evaluator turns a state into a concrete LaurentSeries at one parameter
-instance, inside a truncation window, by a function generated for the
-state on its first evaluation (see `evaluate`). A product, and a residue
-chain over one, is one call of `series.product`, where the box rules live.
-A separable residue chain is an integer by Egorychev's coefficient rule,
+built from integer powers, binomial values (the identity model's
+`BinomFactor`), finite and support-bounded infinite sums, residue
+extraction, and collapsed geometric series. The evaluator turns a state
+into a concrete LaurentSeries at one parameter instance, inside a
+truncation window, by a function generated for the state on its first
+evaluation (see `evaluate`). A product, and a residue chain over one, is
+one call of `series.product`, where the box rules live. A separable
+residue chain is an integer by Egorychev's coefficient rule,
 res_v (1+v)^E v^M = C(E, -1-M), exact under any window (`_separable`).
 
     expr    ::= ("-")? term (("+"|"-") term)*
@@ -26,12 +27,12 @@ k > b; the evaluator checks that assertion on a probe range past the bound.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Union
 
 from . import dsl
 from .arith import binomial
-from .model import BinomFactor, EvalError, LinExpr, SumExpr, Term, _lin, frozen_node
+from .model import BinomFactor, EvalError, LinExpr, SumExpr, Term, _lin, _subst_term, frozen_node
 from .series import EngineError, LaurentSeries, geo_residue, geometric_collapse, product, res, window_box
 
 
@@ -47,12 +48,6 @@ class RInt:
 @frozen_node
 class RVar:
     name: str
-
-
-@frozen_node
-class RBinom:
-    upper: LinExpr
-    lower: LinExpr
 
 
 @frozen_node
@@ -97,7 +92,7 @@ class RGeo:
     body: "RNode"
 
 
-RNode = Union[RInt, RVar, RBinom, RPow, RProd, RAdd, RSum, RISum, RRes, RGeo]
+RNode = Union[RInt, RVar, BinomFactor, RPow, RProd, RAdd, RSum, RISum, RRes, RGeo]
 
 
 # binder name -> (node class, number of linexpr bounds after the bound variable)
@@ -151,8 +146,7 @@ class _Parser(dsl._Parser):
         if tok.kind != "NAME":
             raise self.error("expected an expression")
         if tok.text == "C":
-            f = self.parse_binom(None)
-            return RBinom(f.upper, f.lower)
+            return self.parse_binom(None)
         name = self.next().text
         if name == "geo":
             return RGeo(self.body())
@@ -214,28 +208,23 @@ class EvalContext:
         self.box = window_box(self.vars, self.window)
 
 
+def _linexprs(node, bound: frozenset = frozenset()):
+    """Each linexpr of a state in written order, with the parameters it
+    names: a `sum` or `isum` variable is not a parameter of its body."""
+    if isinstance(node, LinExpr):
+        yield node, tuple(v for v, _ in node.coeffs if v not in bound)
+    elif isinstance(node, tuple):  # a product's factors, a sum's (sign, term) pairs
+        for item in node:
+            yield from _linexprs(item, bound)
+    elif not isinstance(node, (int, str)):  # a node, its fields in written order
+        inner = bound | {node.var} if isinstance(node, (RSum, RISum)) else bound
+        for f in fields(node):
+            yield from _linexprs(getattr(node, f.name), inner if f.name == "body" else bound)
+
+
 def free_params(node: RNode) -> tuple[str, ...]:
     """The sorted names a node's value depends on."""
-    names: set[str] = set()
-    if isinstance(node, RBinom):
-        names.update(node.upper.variables(), node.lower.variables())
-    elif isinstance(node, RPow):
-        names.update(free_params(node.base), node.exponent.variables())
-    elif isinstance(node, RProd):
-        for f in node.factors:
-            names.update(free_params(f))
-    elif isinstance(node, RAdd):
-        for _, t in node.terms:
-            names.update(free_params(t))
-    elif isinstance(node, (RSum, RISum)):
-        names.update(free_params(node.body))
-        names.discard(node.var)
-        bounds = (node.lower, node.upper) if isinstance(node, RSum) else (node.bound,)
-        for b in bounds:
-            names.update(b.variables())
-    elif isinstance(node, (RRes, RGeo)):
-        names.update(free_params(node.body))
-    return tuple(sorted(names))
+    return tuple(sorted({v for _, params in _linexprs(node) for v in params}))
 
 
 def evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
@@ -267,6 +256,11 @@ def evaluate(node: RNode, ctx: EvalContext) -> LaurentSeries:
     memo is keyed by node and parameter values alone, so it must hold
     full-window values; the inner residues of such a chain are not kept in
     it. The box rules all live in `series`.
+
+    The function reads every free parameter of the node from `ctx.env`
+    before it computes anything; a parameter env does not bind is the
+    `EvalError` of the node's first linexpr, in written order, that names
+    it (`_unbound`).
     """
     cache = ctx.cache
     if cache is not None:
@@ -304,7 +298,7 @@ def _compiled(node: RNode):
 
 def _integral(node: RNode) -> bool:
     """Whether the node's value is an integer at every instance."""
-    if isinstance(node, (RInt, RBinom)):
+    if isinstance(node, (RInt, BinomFactor)):
         return True
     if isinstance(node, RRes):
         return _separable(node) is not None
@@ -353,7 +347,7 @@ def _separable(node: RRes):
                 if not (isinstance(name, RVar) and name.name in exponents):
                     return None
                 exponents[name.name][which] += e
-    value = RProd((*ints, *(RBinom(e, LinExpr(-1) - m) for e, m in exponents.values())))
+    value = RProd((*ints, *(BinomFactor(e, LinExpr(-1) - m) for e, m in exponents.values())))
     return value if total is None else RSum(total.var, total.lower, total.upper, value)
 
 
@@ -373,9 +367,7 @@ class _Generator:
     def __init__(self):
         self.lines: list[str] = []
         self.constants: list = []
-        self.uses: list = []  # (linexpr, its parameters) in evaluation order
         self.count = 0
-        self.params: dict[str, str] = {}
 
     def fresh(self, prefix: str) -> str:
         self.count += 1
@@ -388,26 +380,22 @@ class _Generator:
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
 
-    def lin(self, e: LinExpr, slot) -> str:
-        self.uses.append((e, tuple(v for v, _ in e.coeffs if slot[v] == self.params.get(v))))
-        return _lin(e, slot)
-
     def source(self, node: RNode) -> str:
-        self.params = {p: f"v{i}" for i, p in enumerate(free_params(node))}
-        value = self.series(node, self.params, 2)
+        params = {p: f"v{i}" for i, p in enumerate(free_params(node))}
+        value = self.series(node, params, 2)
         body, self.lines = self.lines, []
-        uses = self.constant(tuple(self.uses))
+        root = self.constant(node)
         self.emit(0, f"def make({', '.join(f'n{i}' for i in range(len(self.constants)))}):")
         self.emit(1, "def run(ctx):")
         for name in ("env", "vars", "box", "probe", "memo"):
             self.emit(2, f"{name} = ctx.{name}")
         self.emit(2, "get = memo.get")
-        if self.params:
+        if params:
             self.emit(2, "try:")
-            for name, local in self.params.items():
+            for name, local in params.items():
                 self.emit(3, f"{local} = env[{name!r}]")
             self.emit(2, "except KeyError:")
-            self.emit(3, f"_unbound(env, {uses})")
+            self.emit(3, f"_unbound(env, {root})")
         self.lines += body
         self.emit(2, f"return {value}")
         self.emit(1, "return run")
@@ -433,7 +421,7 @@ class _Generator:
             return f"_variable(vars, {node.name!r})"
         if isinstance(node, RPow):
             base = self.series(node.base, slot, depth)
-            return f"{base}.pow({self.lin(node.exponent, slot)}, box)"
+            return f"{base}.pow({_lin(node.exponent, slot)}, box)"
         if isinstance(node, RProd):
             factors = [self.series(f, slot, depth) for f in node.factors]
             return f"product(({', '.join(factors)}), box)"
@@ -488,13 +476,13 @@ class _Generator:
         zero = "0" if integral else "LaurentSeries.zero(vars)"
         inner = {**slot, node.var: k}
         if isinstance(node, RSum):
-            lo, hi = self.lin(node.lower, slot), self.lin(node.upper, slot)
+            lo, hi = _lin(node.lower, slot), _lin(node.upper, slot)
             self.emit(depth, f"{out} = {zero}")
             self.emit(depth, f"for {k} in range({lo}, {hi} + 1):")
             self.emit(depth + 1, f"{out} = {out} + {value(node.body, inner, depth + 1)}")
             return out
         bound, term = self.fresh("b"), self.fresh("t")
-        self.emit(depth, f"{bound} = max({self.lin(node.bound, slot)}, -1)")
+        self.emit(depth, f"{bound} = max({_lin(node.bound, slot)}, -1)")
         self.emit(depth, f"{out} = {zero}")
         self.emit(depth, f"for {k} in range(0, {bound} + 1 + probe):")
         self.emit(depth + 1, f"{term} = {value(node.body, inner, depth + 1)}")
@@ -510,8 +498,8 @@ class _Generator:
         """The value of an integral node (`_integral`) as an int."""
         if isinstance(node, RInt):
             return f"({node.value})"
-        if isinstance(node, RBinom):
-            return f"binomial({self.lin(node.upper, slot)}, {self.lin(node.lower, slot)})"
+        if isinstance(node, BinomFactor):
+            return f"binomial({_lin(node.upper, slot)}, {_lin(node.lower, slot)})"
         if isinstance(node, RProd):
             return "(" + " * ".join(self.integer(f, slot, depth) for f in node.factors) + ")"
         if isinstance(node, RAdd):
@@ -520,17 +508,11 @@ class _Generator:
         if isinstance(node, RRes):
             # a separable chain (`_separable`) fails as the series path does:
             # a residue variable that is not a series variable raises the
-            # error of `_variable`, and an unbound parameter is named in the
-            # linexpr the series path reads first, so the body's own
-            # linexprs, as its generated code reads them, come first in `uses`
+            # error of `_variable`
             body = node
             while isinstance(body, RRes):
                 self.emit(depth, f"if {body.var!r} not in vars: _variable(vars, {body.var!r})")
                 body = body.body
-            series_path = _Generator()
-            series_path.params = self.params
-            series_path.series(body, slot, depth)
-            self.uses += series_path.uses
             return self.integer(_separable(node), slot, depth)
         return self.sum(node, slot, depth, True)
 
@@ -552,10 +534,10 @@ def _variable(vars, name: str) -> LaurentSeries:
     return LaurentSeries.monomial(vars, {name: 1})
 
 
-def _unbound(env, uses) -> None:
-    """Raise the EvalError of the first linexpr, in evaluation order, that
-    names a parameter env does not bind."""
-    for e, params in uses:
+def _unbound(env, node: RNode) -> None:
+    """Raise the EvalError of the node's first linexpr, in written order,
+    that names a parameter env does not bind."""
+    for e, params in _linexprs(node):
         for v in params:
             if v not in env:
                 raise EvalError(f"unbound variable '{v}' in expression {e}")
@@ -570,8 +552,8 @@ def node_to_term(node: RNode, aliases: Mapping[str, LinExpr]) -> Term:
     factors: list[BinomFactor] = []
 
     def walk(n: RNode) -> None:
-        if isinstance(n, RBinom):
-            factors.append(BinomFactor(n.upper.subst(aliases), n.lower.subst(aliases)))
+        if isinstance(n, BinomFactor):
+            factors.append(n)
         elif isinstance(n, RProd):
             for f in n.factors:
                 walk(f)
@@ -579,7 +561,7 @@ def node_to_term(node: RNode, aliases: Mapping[str, LinExpr]) -> Term:
             raise ValueError(f"not a product of binomials: {n!r}")
 
     walk(node)
-    return Term(None, tuple(factors))
+    return _subst_term(Term(None, tuple(factors)), aliases)
 
 
 def split_carried_sum(node: RNode, aliases: Mapping[str, LinExpr]) -> tuple[Term, SumExpr]:
@@ -592,10 +574,10 @@ def split_carried_sum(node: RNode, aliases: Mapping[str, LinExpr]) -> tuple[Term
         if isinstance(f, RSum):
             body = node_to_term(f.body, aliases)
             sums.append(SumExpr(f.var, f.lower.subst(aliases), f.upper.subst(aliases), body))
-        elif isinstance(f, RBinom):
-            carried.append(BinomFactor(f.upper.subst(aliases), f.lower.subst(aliases)))
+        elif isinstance(f, BinomFactor):
+            carried.append(f)
         else:
             raise ValueError(f"unexpected factor in carried-sum state: {f!r}")
     if len(sums) != 1:
         raise ValueError("state must contain exactly one sum")
-    return Term(None, tuple(carried)), sums[0]
+    return _subst_term(Term(None, tuple(carried)), aliases), sums[0]

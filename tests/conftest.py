@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from importlib import resources
 
 import pytest
 from hypothesis import settings
@@ -54,6 +56,14 @@ def recording_pool(monkeypatch, own_workers):
     """Every pool shard_map starts is a RecordingPool."""
     RecordingPool.made = []
     monkeypatch.setattr(own_workers, "start", RecordingPool)
+
+
+def state_texts(name):
+    """A shipped proof script's state texts as its data file writes them: the
+    start, then each step's `after`; text i is the state step i starts from."""
+    data = resources.files("binomid").joinpath("data", name.replace("-", "_") + ".json")
+    script = json.loads(data.read_text(encoding="utf-8"))
+    return [script["start"]] + [step["after"] for step in script["steps"] if "after" in step]
 
 
 def comb_oracle(n: int, k: int) -> int:

@@ -87,7 +87,7 @@ def test_criterion_4_proof_scripts(catalog):
 
     from binomid.dsl import parse_linexpr
     from binomid.proofs import run_proof_script
-    from binomid.resexpr import parse_resexpr
+    from binomid.resexpr import RAdd, RInt
 
     stated_maps = {
         "proof-eq1": {"a": "c+d-b", "b": "p", "c": "0", "d": "c+d+p-n", "m": "b-d"},
@@ -112,10 +112,7 @@ def test_criterion_4_proof_scripts(catalog):
                 mapping["m"] = mapping["m"] + LinExpr(1)
                 steps[idx] = dataclasses.replace(step, mapping=tuple(mapping.items()))
             else:
-                text = step.after_text + "+1"
-                steps[idx] = dataclasses.replace(
-                    step, after_text=text, after=parse_resexpr(text)
-                )
+                steps[idx] = dataclasses.replace(step, after=RAdd(((1, step.after), (1, RInt(1)))))
             mutated = dataclasses.replace(script, steps=tuple(steps))
             bad = run_proof_script(mutated, [env], window=2)
             assert not bad.ok and bad.failures[0].step == idx, (name, idx)

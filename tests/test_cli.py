@@ -251,7 +251,7 @@ def test_negative_power_of_three_terms_fails_its_own_step(capsys, monkeypatch):
     script = cat.scripts["proof-eq1"]
     steps = list(script.steps)
     text = "(1+x+y)^(-1)"
-    steps[1] = dataclasses.replace(steps[1], after_text=text, after=parse_resexpr(text))
+    steps[1] = dataclasses.replace(steps[1], after=parse_resexpr(text))
     scripts = {**cat.scripts, script.name: dataclasses.replace(script, steps=tuple(steps))}
     monkeypatch.setattr("binomid.cli.load_builtin",
                         lambda: dataclasses.replace(cat, scripts=scripts))
@@ -413,7 +413,7 @@ def with_a_broken_proof_step(tmp_path, monkeypatch):
     cat = load_builtin()
     script = cat.scripts["proof-eq2"]
     steps = list(script.steps)
-    steps[2] = dataclasses.replace(steps[2], after_text="1", after=parse_resexpr("1"))
+    steps[2] = dataclasses.replace(steps[2], after=parse_resexpr("1"))
     scripts = {**cat.scripts, script.name: dataclasses.replace(script, steps=tuple(steps))}
     monkeypatch.setattr("binomid.cli.load_builtin",
                         lambda: dataclasses.replace(cat, scripts=scripts))

@@ -260,7 +260,7 @@ def test_corrupted_text_errors_stay_in_bounds(ident, rng):
 
 # -- pinned parse results and errors ---------------------------------------------
 
-PARSE_CORPUS_SHA256 = "4c0be2f45b2be65427a8f8ba6c8235fd1cfde32337ed8a1d1f3a8e381b5d52b9"
+PARSE_CORPUS_SHA256 = "41b14c4fac01822bf4451b7bee037d376afda58e2fd95e4b47646b23615bec2f"
 
 # the point mutations of the corrupted-text tests above and of test_resexpr, plus
 # line breaks, tabs, comments and the letters and digits the lexer must tell apart

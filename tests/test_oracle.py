@@ -22,9 +22,9 @@ from fractions import Fraction
 
 import pytest
 
-from binomid.model import SumExpr
+from binomid.model import BinomFactor, SumExpr
 from binomid.proofs import SERIES_VARS, _context, run_proof_script
-from binomid.resexpr import (RAdd, RBinom, RGeo, RInt, RISum, RPow, RProd, RRes, RSum, RVar, evaluate,
+from binomid.resexpr import (RAdd, RGeo, RInt, RISum, RPow, RProd, RRes, RSum, RVar, evaluate,
                              parse_resexpr)
 
 from conftest import comb_oracle
@@ -98,7 +98,7 @@ class Oracle:
             return {ORIGIN: node.value} if node.value else {}
         if isinstance(node, RVar):
             return {tuple(int(v == node.name) for v in SERIES_VARS): 1}
-        if isinstance(node, RBinom):
+        if isinstance(node, BinomFactor):
             c = comb_oracle(_lin(node.upper, env), _lin(node.lower, env))
             return {ORIGIN: c} if c else {}
         if isinstance(node, RPow):

@@ -3,12 +3,12 @@ from collections import Counter
 
 import pytest
 
-from binomid.dsl import parse_linexpr, parse_term
+from binomid.dsl import parse_identity, parse_linexpr, parse_term
 from binomid.model import BinomFactor, LinExpr
-from binomid.proofs import run_proof_script
-from binomid.resexpr import parse_resexpr
+from binomid.proofs import load_script, run_proof_script
+from binomid.resexpr import RAdd, RInt, parse_resexpr
 
-from conftest import check_step, comb_oracle
+from conftest import check_step, comb_oracle, state_texts
 
 
 def small_instances(script, hi=2):
@@ -79,7 +79,6 @@ def test_check_step_trivial_equality(catalog):
     trivial = dataclasses.replace(
         script.steps[idx],
         after=script.steps[idx].before,
-        after_text=script.steps[idx].before_text,
     )
     steps = list(script.steps)
     steps[idx] = trivial
@@ -163,8 +162,7 @@ def mutate_step(script, idx):
         mapping["d"] = mapping["d"] + parse_linexpr("1")
         steps[idx] = dataclasses.replace(step, mapping=tuple(mapping.items()))
     else:
-        text = step.after_text + "+1"
-        steps[idx] = dataclasses.replace(step, after_text=text, after=parse_resexpr(text))
+        steps[idx] = dataclasses.replace(step, after=RAdd(((1, step.after), (1, RInt(1)))))
     return dataclasses.replace(script, steps=tuple(steps))
 
 
@@ -342,7 +340,7 @@ def test_loader_rejects_duplicate_adjacent_expression_mismatch(catalog):
     # between steps therefore cannot produce silently inconsistent scripts
     script = catalog.script("proof-eq1")
     for i in range(1, len(script.steps)):
-        assert script.steps[i].before is script.steps[i - 1].after or script.steps[i].before_text == script.steps[i - 1].after_text
+        assert script.steps[i].before is script.steps[i - 1].after
 
 
 def _with_step(script, idx, **changes):
@@ -353,18 +351,16 @@ def _with_step(script, idx, **changes):
 
 def _with_after(script, idx, text):
     """The script with step idx ending, and the next step starting, in the state text."""
-    script = _with_step(script, idx, after_text=text, after=parse_resexpr(text))
+    script = _with_step(script, idx, after=parse_resexpr(text))
     if idx + 1 < len(script.steps):
-        script = _with_step(script, idx + 1, before_text=text, before=script.steps[idx].after)
+        script = _with_step(script, idx + 1, before=script.steps[idx].after)
     return script
 
 
 def _with_step_0_as(script, form):
     """The script with both states of step 0 put into `form`."""
-    step = script.steps[0]
-    before, after = (form.format(text) for text in (step.before_text, step.after_text))
-    return _with_step(script, 0, before_text=before, before=parse_resexpr(before),
-                      after_text=after, after=parse_resexpr(after))
+    before, after = (parse_resexpr(form.format(text)) for text in state_texts(script.name)[:2])
+    return _with_step(script, 0, before=before, after=after)
 
 
 DISJOINT = "DegenerateWindowError: accuracy windows do not overlap"
@@ -492,7 +488,7 @@ def test_replaced_recognition_map_is_checked_afresh(catalog, script_name):
 def test_an_unbound_parameter_fails_its_own_step(catalog):
     # step 1 ends, and step 2 starts, in a state naming w, which the script does not bind
     script = catalog.script("proof-eq1")
-    text = script.steps[1].after_text.replace("C(b,d)", "C(b,w)")
+    text = state_texts(script.name)[2].replace("C(b,d)", "C(b,w)")
     script = _with_after(script, 1, text)
     report = run_proof_script(script, [dict.fromkeys(script.params, 1)], window=2)
     assert [(f.step, f.kind, f.message) for f in report.failures] == [
@@ -500,9 +496,21 @@ def test_an_unbound_parameter_fails_its_own_step(catalog):
     ]
 
 
+def test_recognize_keeps_the_sign_of_the_substituted_rhs():
+    # the target's rhs carries (-1)^(m), which is -1 at n = m = 1
+    alt = parse_identity(
+        "identity alt params(n,m) :: sum(k,0,n)[C(n,k)*C(k,m)*C(-1,k)] == (-1)^(m)*C(n,m)*C(m,n)")
+    data = {"name": "proof-alt", "proves": "alt", "params": ["n", "m"], "carried": "C(0,0)",
+            "start": "C(0,0)*sum(k,0,n)[C(n,k)*C(k,m)*C(-1,k)]", "budget": "n",
+            "steps": [{"kind": "Recognize", "target": "alt", "map": {"n": "n", "m": "m"}}]}
+    script = load_script(data, {"alt": alt}.__getitem__)
+    report = run_proof_script(script, script.instances({"n": (0, 2), "m": (0, 2)}))
+    assert report.instances == 9 and report.failures == []
+
+
 def _unrecognizable(script):
     # the last rewrite adds 0: the same value, but no longer `carried * sum`
-    return _with_after(script, len(script.steps) - 2, script.steps[-2].after_text + "+0")
+    return _with_after(script, len(script.steps) - 2, state_texts(script.name)[-1] + "+0")
 
 
 def _map_without_m(script):

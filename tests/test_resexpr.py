@@ -14,18 +14,16 @@ from hypothesis import strategies as st
 from binomid import arith, resexpr, series
 from binomid.catalog import load_builtin
 from binomid.dsl import ParseError
-from binomid.model import EvalError, LinExpr
+from binomid.model import BinomFactor, EvalError, LinExpr
 from binomid.proofs import _context, run_proof_script
-from binomid.resexpr import (EvalContext, RAdd, RBinom, RGeo, RInt, RISum, RPow, RProd, RRes, RSum,
+from binomid.resexpr import (EvalContext, RAdd, RGeo, RInt, RISum, RPow, RProd, RRes, RSum,
                              RVar, evaluate, parse_resexpr)
 from binomid.series import EngineError, LaurentSeries, NonUnitError, WindowError, res, window_box
 
+from conftest import state_texts
 from test_oracle import DEGREE, ORIGIN, Oracle, oracle_value, states
 
-STATE_TEXTS = sorted(
-    {text for script in load_builtin().scripts.values() for step in script.steps
-     for text in (step.before_text, step.after_text) if text}
-)
+STATE_TEXTS = sorted({text for name in load_builtin().scripts for text in state_texts(name)})
 
 
 def test_shipped_states_parse():
@@ -61,12 +59,12 @@ def test_errors_take_the_catalog_message_form(text, message):
 def test_linexpr_accepts_a_leading_plus():
     a = LinExpr.var("a")
     assert parse_resexpr("x^(+a)") == RPow(RVar("x"), a) == parse_resexpr("x^(a)")
-    assert parse_resexpr("C(+a,+1)") == RBinom(a, LinExpr(1))
+    assert parse_resexpr("C(+a,+1)") == BinomFactor(a, LinExpr(1))
 
 
 def test_an_evaluated_node_pickles_to_the_same_bytes(catalog):
     script = catalog.script("proof-eq1")
-    node = parse_resexpr(script.steps[2].after_text)
+    node = parse_resexpr(state_texts(script.name)[3])  # step 2's after, not yet evaluated
     before = pickle.dumps(node)
     evaluate(node, _context(script, dict.fromkeys(script.params, 1), 2, {}))
     # the generated function lives in `resexpr._compiled`, not on the node
@@ -131,6 +129,9 @@ def test_an_unbound_parameter_is_an_eval_error_naming_it():
         evaluate(parse_resexpr("res(x)[(1+x)^(n)*x^(q-2)]"), ctx({"n": 2}))
     with pytest.raises(EvalError, match=r"^unbound variable 'q' in expression -j\+q$"):
         evaluate(parse_resexpr("res(x)[sum(j,0,n)[(1+x)^(j)*x^(q-j)]*x^(-1)]"), ctx({"n": 2}))
+    # in the exchange with a geometric sum too, whose ratio is computed first
+    with pytest.raises(EvalError, match=r"^unbound variable 'q' in expression q$"):
+        evaluate(parse_resexpr("res(x)[x^(q)*geo[x^(r)]]"), ctx({}))
 
 
 NESTED_SUMS = "sum(k,0,1)[" * 21 + "1" + "]" * 21  # 21 nested loops in the generated code
@@ -161,7 +162,7 @@ def _series_walk(node, vars, box, env):
     over the tree evaluates it: constants, clipped products, sums."""
     if isinstance(node, RInt):
         return LaurentSeries.constant(vars, node.value)
-    if isinstance(node, RBinom):
+    if isinstance(node, BinomFactor):
         return LaurentSeries.constant(vars, arith.binomial(node.upper.evaluate(env),
                                                            node.lower.evaluate(env)))
     if isinstance(node, RProd):
@@ -601,6 +602,25 @@ def test_a_state_text_evaluates_or_raises_an_engine_or_eval_error(text):
             assert isinstance(evaluate(node, ctx), LaurentSeries)
         except (EngineError, EvalError):
             pass
+
+
+@FUZZ
+@given(_state_texts(5))
+def test_the_free_parameters_are_exactly_the_names_the_generated_code_needs(text):
+    # dropping a free parameter from the env is an EvalError naming it;
+    # dropping any other name changes neither the value nor the error
+    node, env = parse_resexpr(text), {"n": 2, "j": 1, "k": 1}
+    params = resexpr.free_params(node)
+    window = dict.fromkeys(VARS, (-2, 2))
+    value = lambda env: _outcome(lambda: evaluate(node, EvalContext(VARS, window, 2, env)))
+    want = value(env)
+    for name in env:
+        got = value({k: v for k, v in env.items() if k != name})
+        if name in params:
+            assert isinstance(got, tuple) and got[0] is EvalError, got
+            assert got[1].startswith(f"unbound variable '{name}' in expression ")
+        else:
+            _assert_same_outcome(got, want)
 
 
 def _oracle_values(node, env):
